@@ -1,6 +1,6 @@
 package perfbench
 
-import java.nio.file.{Files, Path, Paths}
+import java.nio.file.{Files, Paths}
 
 import org.apache.spark.sql.SparkSession
 
@@ -51,7 +51,7 @@ object Main {
     val work = Paths.get(opts("work")).toAbsolutePath
     Files.createDirectories(work)
 
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(s"local[${Runtime.getRuntime.availableProcessors()}]")
       .appName(s"perfbench-$workload")
       .config("spark.ui.enabled", "false")

@@ -314,7 +314,7 @@ final class Run(spark: SparkSession, val workload: String, val seed: Long, secon
       note("TopK.ctx_ms", ctxNs / 1e6)
       note("TopK.price_ms", priceNs / 1e6)
       note("TopK.price_ns_per_node", if (priced > 0) priceNs.toDouble / priced else 0.0)
-      note("TopK.nodes_priced", priced)
+      note("TopK.nodes_priced", priced.toDouble)
       note("TopK.nodes_visited", res.nodesVisited)
       note("TopK.entities_checked", res.checked)
       note("TopK.pe", res.pe(mem.data.size))
@@ -394,8 +394,8 @@ final class Run(spark: SparkSession, val workload: String, val seed: Long, secon
         note("CachedTraceStore.query_ms", ms)
         note("CachedTraceStore.prefetch_ms", tracer.total("prefetch", q.id) / 1e6)
         note("CachedTraceStore.prefetch_calls", tracer.count("prefetch", q.id))
-        note("CachedTraceStore.hits", h)
-        note("CachedTraceStore.misses", m)
+        note("CachedTraceStore.hits", h.toDouble)
+        note("CachedTraceStore.misses", m.toDouble)
         note("CachedTraceStore.hit_rate", if (h + m > 0) h.toDouble / (h + m) else 0.0)
       }
     }

@@ -119,8 +119,7 @@ final class CountingMeasure(inner: Measure) extends Measure {
   * submitting thread set as local property [[JobListener.OpKey]].
   */
 final class JobListener extends SparkListener {
-  /** A job of op `op`, with the (launch, finish) times of its tasks. */
-  final case class Job(op: Int, startMs: Long, var endMs: Long, tasks: mutable.ArrayBuffer[(Long, Long)])
+  import JobListener.Job
 
   private val jobs = new ConcurrentHashMap[Int, Job]
   private val stageJob = new ConcurrentHashMap[Int, Int]
@@ -149,4 +148,7 @@ final class JobListener extends SparkListener {
 
 object JobListener {
   val OpKey = "perfbench.op"
+
+  /** A job of op `op`, with the (launch, finish) times of its tasks. */
+  final case class Job(op: Int, startMs: Long, var endMs: Long, tasks: mutable.ArrayBuffer[(Long, Long)])
 }
