@@ -33,7 +33,7 @@ object Settings {
   val WarmWrites = 200
   /** `syn-read` writes after its query phases: untimed, then timed. */
   val BatchWarmWrites = 1000
-  val BatchWrites = 200
+  val BatchWrites = 400
   /** Cache capacity of the traced cached-disk path, as a share of the entities. */
   val DiskShare = 0.25
 }

@@ -95,7 +95,9 @@ object Main {
     )
   }
 
-  /** Host, seeds, sample counts, tail percentiles and failed ops. */
+  /** Host, seeds, sample counts, tail percentiles, failed ops and exact
+    * answers whose tie order differs from brute force.
+    */
   private def record(spark: SparkSession, run: Run, traced: Boolean): Seq[(String, Any)] = {
     def tail(xs: Seq[Double]) =
       if (xs.size <= Stats.TailBeyond) Seq("n" -> xs.size)
@@ -127,6 +129,8 @@ object Main {
         )),
       "ops_failed_share" -> run.gate.failedShare,
       "failures" -> run.gate.failureList.map { case (id, why) => Seq("op" -> id, "cause" -> why) },
+      "tie_order_share" -> run.gate.tieOrderShare,
+      "tie_order" -> run.gate.tieOrderList.map { case (id, why) => Seq("op" -> id, "difference" -> why) },
     )
   }
 }

@@ -38,14 +38,24 @@ object SelfTest {
     val g = new Gate
     check(g.attempt("ok")(1).map(_._1).contains(1), "a good op returns its value")
     check(g.attempt("throws")(throw new IllegalStateException("boom")).isEmpty, "a thrown op gives no sample")
+    // True degrees: entity 1 has 0.25, 2 has 0.5, 3 and 4 have 0.0; 0 is the query.
+    val degrees = Map(1L -> 0.25, 2L -> 0.5, 3L -> 0.0, 4L -> 0.0)
     val want = Seq((2L, 0.5), (3L, 0.0))
-    g.attempt("wrong")(Seq((1L, 0.5), (3L, 0.0))).foreach { case (got, _) => g.exact("wrong", got, want) }
-    g.attempt("no-zeros")(Seq((2L, 0.5))).foreach { case (got, _) => g.exact("no-zeros", got, want) }
-    g.attempt("right")(want).foreach { case (got, _) => g.exact("right", got, want) }
-    check(g.attempted == 5 && g.failed == 3 && g.failedShare == 0.6, s"3 of 5 failed, got ${g.failureList}")
-    check(g.failureList.map(_._1).toSet == Set("throws", "wrong", "no-zeros"), "failures name their ops")
+    def run(id: String, got: Seq[(Long, Double)]): Unit =
+      g.attempt(id)(got).foreach { case (r, _) => g.exact(id, r, want, degrees.get) }
+    run("wrong", Seq((1L, 0.5), (3L, 0.0)))
+    run("no-zeros", Seq((2L, 0.5)))
+    run("right", want)
+    run("other-tie", Seq((2L, 0.5), (4L, 0.0)))
+    run("duplicate", Seq((2L, 0.5), (2L, 0.0)))
+    run("query", Seq((2L, 0.5), (0L, 0.0)))
+    check(g.attempted == 8 && g.failed == 5 && g.failedShare == 5.0 / 8, s"5 of 8 failed, got ${g.failureList}")
+    check(g.failureList.map(_._1).toSet == Set("throws", "wrong", "no-zeros", "duplicate", "query"),
+      "failures name their ops")
     check(g.failureList.exists(f => f._1 == "no-zeros" && f._2.contains("zero-degree")),
       "a dropped zero-degree entity is named as such")
+    check(g.tieOrderList.map(_._1) == Seq("other-tie") && g.tieOrderShare == 1.0 / 8,
+      s"another entity of equal degree is exact but recorded, got ${g.tieOrderList}")
   }
 
   private def decoratorsDelegate(): Unit = {

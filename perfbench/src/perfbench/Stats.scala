@@ -35,18 +35,25 @@ object Stats {
 }
 
 /** Counts timed ops and the ones that fail. An op fails when it throws or
-  * when its result differs from the reference; failed ops give no latency
-  * sample. Safe to use from several client threads.
+  * when its result is not an exact Top-k answer; failed ops give no latency
+  * sample. Exact answers that order equal degrees other than the reference
+  * are counted apart. Safe to use from several client threads.
   */
 final class Gate {
   private val attemptedN = new AtomicLong
   private val failures = new ConcurrentLinkedQueue[(String, String)]
+  private val tieOrders = new ConcurrentLinkedQueue[(String, String)]
 
   def attempted: Long = attemptedN.get
   def failed: Int = failures.size
   def failedShare: Double = if (attempted == 0) 0.0 else failed.toDouble / attempted
   /** (op id, cause) of every failed op. */
   def failureList: Seq[(String, String)] = failures.asScala.toSeq
+  /** (op id, first difference) of every exact answer whose tie order
+    * differs from the reference.
+    */
+  def tieOrderList: Seq[(String, String)] = tieOrders.asScala.toSeq
+  def tieOrderShare: Double = if (attempted == 0) 0.0 else tieOrders.size.toDouble / attempted
 
   def fail(id: String, cause: String): Unit = failures.add((id, cause))
 
@@ -64,14 +71,20 @@ final class Gate {
     }
   }
 
-  /** Compare a result list with the exact reference, ids, ties and
-    * zero-degree entries included; count a failure on any difference.
+  /** Compare a result list with the brute-force reference, ids, ties and
+    * zero-degree entries included. A list that differs only in which
+    * entities of equal degree it holds, or their order, is exact (the
+    * paper's Top-k leaves ties open) and is recorded as a tie-order
+    * difference; any other difference counts a failure. `degreeOf` gives
+    * an entity's true degree, None for the query or an absent entity.
     */
-  def exact(id: String, got: Seq[(Long, Double)], want: Seq[(Long, Double)]): Boolean = {
-    val diff = Gate.difference(got, want)
-    diff.foreach(fail(id, _))
-    diff.isEmpty
-  }
+  def exact(id: String, got: Seq[(Long, Double)], want: Seq[(Long, Double)],
+            degreeOf: Long => Option[Double]): Boolean =
+    Gate.difference(got, want) match {
+      case None => true
+      case Some(why) if Gate.sameTopK(got, want, degreeOf) => tieOrders.add((id, why)); true
+      case Some(why) => fail(id, why); false
+    }
 }
 
 object Gate {
@@ -88,4 +101,12 @@ object Gate {
         " (zero-degree entities missing)" else ""
       Some(s"mismatch at rank $i: got ${got.lift(i)} want ${want.lift(i)}; sizes ${got.size}/${want.size}$zeros")
     }
+
+  /** True when `got` has exactly `want`'s degree list, over distinct
+    * entities that each have the degree listed: a Top-k answer as exact as
+    * `want`, whatever entities of equal degree it chose.
+    */
+  def sameTopK(got: Seq[(Long, Double)], want: Seq[(Long, Double)], degreeOf: Long => Option[Double]): Boolean =
+    got.map(_._2) == want.map(_._2) && got.map(_._1).distinct.size == got.size &&
+      got.forall { case (e, d) => degreeOf(e).contains(d) }
 }
