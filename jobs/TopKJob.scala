@@ -30,9 +30,10 @@ object TopKJob {
     dist.hits.foreach { case (e, deg) => println(f"  entity $e%8d degree $deg%.6f") }
 
     val driver = new repro.core.TopKSearcher(built.tree, built.store, built.hasher, d).search(q, k)
+    require(dist.hits.size == driver.hits.size,
+      s"distributed search returned ${dist.hits.size} hits, driver ${driver.hits.size}")
     require(
-      dist.hits.map(_._2).zip(driver.hits.map(_._2).filter(_ > 0))
-        .forall { case (a, b) => math.abs(a - b) < 1e-9 },
+      dist.hits.map(_._2).zip(driver.hits.map(_._2)).forall { case (a, b) => math.abs(a - b) < 1e-9 },
       "distributed and driver results disagree")
     println("driver search agrees.")
     spark.stop()

@@ -2,7 +2,7 @@ package repro.baseline
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import repro.core.{Cells, DistributedTopK, Measure, TraceStore}
+import repro.core.{DistributedTopK, Measure, TraceStore}
 
 /** Brute-force comparator (the paper's strawman in §3): score the query
   * against every entity and sort. Serves three roles: (1) the baseline
@@ -12,7 +12,8 @@ import repro.core.{Cells, DistributedTopK, Measure, TraceStore}
 object BruteForce {
 
   /** Distributed full scan: DataFrame (entity, degree) for every entity
-    * with non-zero overlap with the query.
+    * with a non-zero degree to the query. An absent query fails the
+    * `require` of [[DistributedTopK.queryCells]].
     */
   def degreesDf(
       spark: SparkSession,
@@ -22,16 +23,9 @@ object BruteForce {
       sp: repro.spindex.SpIndex,
   ): DataFrame = {
     import spark.implicits._
-    val qCells: Array[Array[Long]] = {
-      val rows = levelCells
-        .filter($"entity" === qEntity)
-        .select("level", "cell")
-        .as[(Int, Long)]
-        .collect()
-      val byLevel = rows.groupBy(_._1)
-      Array.tabulate(sp.m)(li => byLevel.getOrElse(li + 1, Array.empty).map(_._2).sorted)
-    }
+    val qCells = DistributedTopK.queryCells(spark, levelCells, qEntity, sp.m)
     DistributedTopK.degrees(spark, levelCells, qEntity, qCells, measure, candidates = None)
+      .filter($"degree" > 0.0)
   }
 
   /** Driver full scan over a TraceStore: all (entity, degree) pairs sorted

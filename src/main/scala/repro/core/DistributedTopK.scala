@@ -4,14 +4,12 @@ import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-/** Distributed top-k query processing: the scan/prune flavor of Algorithm 2.
-  *
-  * The MinSigTree (driver-resident, small) prices every leaf with the
-  * Theorem 4.1 upper bound; leaves are then evaluated in UB-descending
-  * batches, each batch scored exactly by a distributed pass over the
-  * level-cells DataFrame. Terminates once the k-th exact degree dominates
-  * the next unevaluated leaf's bound — the same condition as Algorithm 2,
-  * so results match the driver search.
+/** Distributed top-k query processing: Algorithm 2 with Spark leaf
+  * evaluation. The driver-resident MinSigTree is searched best-first as on
+  * the driver; popped leaves are held until they reach a batch of entities,
+  * and each batch is scored exactly by one distributed pass over the
+  * level-cells DataFrame (the threshold algorithm of Fagin, Lotem and Naor:
+  * sorted access plus a stopping bound).
   */
 object DistributedTopK {
 
@@ -19,7 +17,8 @@ object DistributedTopK {
     *
     * @param levelCells DataFrame (entity, level, cell) — see [[Cells.levelCells]]
     * @param qCells     query's per-level cell arrays (index = level-1)
-    * @return DataFrame (entity, degree) for candidates with overlap > 0
+    * @return DataFrame (entity, degree) for every candidate with a trace,
+    *         degree 0 included
     */
   def degrees(
       spark: SparkSession,
@@ -44,14 +43,14 @@ object DistributedTopK {
       .groupByKey(_._1)
       .mapGroups { (e, rows) =>
         val ov = new Array[Int](m)
-        val sb = new Array[Int](m)
+        val sizes = new Array[Int](m)
         rows.foreach { case (_, l, c) =>
-          sb(l - 1) += 1
+          sizes(l - 1) += 1
           if (bcQ.value(l - 1).contains(c)) ov(l - 1) += 1
         }
-        (e, bcM.value.degree(ov, qSizes, sb))
+        // Candidate first, query second, as in TraceSource.degree.
+        (e, bcM.value.degree(ov, sizes, qSizes))
       }
-      .filter(_._2 > 0.0)
       .toDF("entity", "degree")
   }
 
@@ -68,7 +67,10 @@ object DistributedTopK {
     Array.tabulate(m)(li => byLevel.getOrElse(li + 1, Array.empty).map(_._2).sorted)
   }
 
-  /** Full search; query cells are read from the DataFrame. */
+  /** Full search; query cells are read from the DataFrame. Leaves are
+    * scored once they hold `batchEntities` entities, and when the search
+    * ends.
+    */
   def search(
       spark: SparkSession,
       tree: MinSigTree,
@@ -80,45 +82,24 @@ object DistributedTopK {
       batchEntities: Int = 4096,
   ): TopKResult = {
     import spark.implicits._
-    val sp = tree.sp
-    val qCells = queryCells(spark, levelCells, qEntity, sp.m)
-    val ctx = new QueryContext(sp, hasher, measure, qCells)
+    val qCells = queryCells(spark, levelCells, qEntity, tree.sp.m)
+    val step = new LeafStep {
+      private val held = mutable.HashSet.empty[Long]
 
-    // Price every leaf: DFS accumulating partial-pruned-set masks.
-    val leaves = mutable.ArrayBuffer.empty[(Double, Array[Long])]
-    def dfs(node: SigNode, masks: Array[Array[Boolean]], ub: Double): Unit = {
-      if (node.isLeaf) leaves += ((ub, node.entities.toArray))
-      else node.children.valuesIterator.foreach { child =>
-        val m2 = ctx.pruneMasks(masks, child, tree.pruneCoords)
-        dfs(child, m2, math.min(ub, ctx.upperBound(m2)))
+      def take(leaf: SigNode, emit: (Long, Double) => Unit): Unit = {
+        leaf.entities.foreach(e => if (e != qEntity) held += e)
+        if (held.size >= batchEntities) flush(emit)
       }
-    }
-    dfs(tree.root, ctx.freshMasks(), 1.0)
-    val ordered = leaves.sortBy(-_._1)
 
-    val best = mutable.ArrayBuffer.empty[(Long, Double)]
-    def kth: Double = if (best.size < k) -1.0 else best(k - 1)._2
-    var checked = 0
-    var i = 0
-    while (i < ordered.size && !(best.size >= k && kth >= ordered(i)._1)) {
-      // Greedily batch consecutive leaves to amortize the Spark job.
-      val batch = mutable.HashSet.empty[Long]
-      while (i < ordered.size && (batch.isEmpty || batch.size < batchEntities) &&
-             !(best.size >= k && kth >= ordered(i)._1)) {
-        ordered(i)._2.foreach(e => if (e != qEntity) batch += e)
-        i += 1
-      }
-      if (batch.nonEmpty) {
-        checked += batch.size
-        val scored = degrees(spark, levelCells, qEntity, qCells, measure, Some(batch.toSet))
-          .as[(Long, Double)]
-          .collect()
-        best ++= scored
-        val sorted = best.sortBy { case (e, d) => (-d, e) }
-        best.clear()
-        best ++= sorted.take(k)
-      }
+      override def flush(emit: (Long, Double) => Unit): Unit =
+        if (held.nonEmpty) {
+          degrees(spark, levelCells, qEntity, qCells, measure, Some(held.toSet))
+            .as[(Long, Double)]
+            .collect()
+            .foreach { case (e, d) => emit(e, d) }
+          held.clear()
+        }
     }
-    TopKResult(best.toSeq, checked, leaves.size)
+    BestFirst.search(tree, new QueryContext(tree.sp, hasher, measure, qCells), k, step)
   }
 }

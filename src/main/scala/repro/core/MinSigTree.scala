@@ -26,7 +26,10 @@ final class SigNode(
 ) {
   /** Element-wise min over member entities of `sig_e^level` (length n_h). */
   var minSig: Array[Int] = null
-  private var topCache: Array[Int] = null
+  /** Filled on first use by `topCoords`; volatile so that concurrent
+    * queries see a fully built array.
+    */
+  @volatile private var topCache: Array[Int] = null
 
   val children: mutable.LinkedHashMap[Int, SigNode] = mutable.LinkedHashMap.empty
   /** Entities stored at this node; non-empty only at leaves (level m). */
@@ -55,11 +58,14 @@ final class SigNode(
     * (coordinate, value) pairs, value-descending — the pruning working set.
     */
   def topCoords(c: Int): Array[Int] = {
-    if (topCache == null || topCache.length < 2 * math.min(c, minSig.length)) {
+    val cached = topCache
+    if (cached != null && cached.length >= 2 * math.min(c, minSig.length)) cached
+    else {
       val order = minSig.indices.sortBy(u => -minSig(u)).take(c)
-      topCache = order.flatMap(u => Seq(u, minSig(u))).toArray
+      val fresh = order.flatMap(u => Seq(u, minSig(u))).toArray
+      topCache = fresh
+      fresh
     }
-    topCache
   }
 }
 

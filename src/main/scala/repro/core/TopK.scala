@@ -21,9 +21,9 @@ final case class TopKResult(hits: Seq[(Long, Double)], checked: Int, nodesVisite
     math.max(0, checked - hits.size).toDouble / nEntities
 }
 
-/** Per-query state shared by the driver and distributed searchers: the
-  * query's per-level cells, their per-level hashes, and the mask-based
-  * partial-pruned-set upper bound of Theorem 4.1 / §4.1.
+/** Per-query state of the best-first search: the query's per-level cells,
+  * their per-level hashes, and the mask-based partial-pruned-set upper
+  * bound of Theorem 4.1 / §4.1.
   *
   * Soundness of the pruning rule (see also Theorems 3.1/3.2): at a node N
   * of level `j` with routing index `r` and stored value `V = min over
@@ -114,7 +114,77 @@ object QueryContext {
   }
 }
 
-/** Best-first top-k search over the MinSigTree (Algorithm 2, §4.2). */
+/** How the best-first search evaluates the leaves it pops. A step scores a
+  * leaf's members (the query excluded) at once or holds them to score in a
+  * batch; each exact `(entity, degree)` it scores goes to `emit`.
+  */
+private[core] trait LeafStep {
+  def take(leaf: SigNode, emit: (Long, Double) => Unit): Unit
+
+  /** Scores every held leaf; the search calls it before it returns. */
+  def flush(emit: (Long, Double) => Unit): Unit = ()
+}
+
+/** Best-first top-k search over the MinSigTree (Algorithm 2, §4.2), shared
+  * by the driver and Spark paths: candidate queue, mask pruning, upper
+  * bounds, the k-best result and early termination. Only the leaf step
+  * differs between the paths.
+  */
+private[core] object BestFirst {
+
+  def search(tree: MinSigTree, ctx: QueryContext, k: Int, step: LeafStep): TopKResult = {
+    require(k >= 1)
+
+    final class Cand(val node: SigNode, val masks: Array[Array[Boolean]], val ub: Double)
+
+    // Result: weakest of the current top-k on top, so eviction is O(log k);
+    // ties broken by entity id for determinism.
+    implicit val weakestFirst: Ordering[(Long, Double)] =
+      Ordering.by[(Long, Double), (Double, Long)] { case (e, d) => (-d, e) }
+    val result = mutable.PriorityQueue.empty[(Long, Double)]
+    def kthDegree: Double = if (result.size < k) -1.0 else result.head._2
+    var checked = 0
+    val emit = (e: Long, d: Double) => {
+      checked += 1
+      if (result.size < k) result.enqueue((e, d))
+      else if (d > kthDegree || (d == kthDegree && e < result.head._1)) {
+        result.dequeue(); result.enqueue((e, d))
+      }
+    }
+
+    val cands = new PriorityQueue[Cand](new Comparator[Cand] {
+      def compare(a: Cand, b: Cand): Int = java.lang.Double.compare(b.ub, a.ub)
+    })
+    cands.add(new Cand(tree.root, ctx.freshMasks(), 1.0))
+    var visited = 0
+    var done = false
+
+    while (!done && !cands.isEmpty) {
+      val cand = cands.poll()
+      visited += 1
+      val node = cand.node
+      // Early termination (Lines 4-5): the k-th best exact degree already
+      // dominates every remaining upper bound.
+      if (result.size == k && kthDegree >= cand.ub) done = true
+      else if (node.isLeaf) step.take(node, emit)
+      else {
+        node.children.valuesIterator.foreach { child =>
+          val masks = ctx.pruneMasks(cand.masks, child, tree.pruneCoords)
+          val ub = math.min(cand.ub, ctx.upperBound(masks))
+          if (result.size < k || ub > kthDegree)
+            cands.add(new Cand(child, masks, ub))
+        }
+      }
+    }
+    // Held leaves only raise the k-th degree, so termination still holds.
+    step.flush(emit)
+    TopKResult(result.toSeq.sortBy { case (e, d) => (-d, e) }, checked, visited)
+  }
+}
+
+/** Driver top-k search: each popped leaf is fetched (one `prefetch`) and
+  * its members are scored against the store at once.
+  */
 final class TopKSearcher(
     val tree: MinSigTree,
     val store: TraceSource,
@@ -125,65 +195,12 @@ final class TopKSearcher(
   /** Exact top-k associated entities to `q` (q excluded from results). */
   def search(q: Long, k: Int): TopKResult = {
     require(store.contains(q), s"query entity $q has no trace")
-    require(k >= 1)
-    val ctx = QueryContext(store, hasher, measure, q)
-
-    final class Cand(val node: SigNode, val masks: Array[Array[Boolean]], val ub: Double)
-
-    // Result: weakest of the current top-k on top, so eviction is O(log k);
-    // ties broken by entity id for determinism.
-    implicit val weakestFirst: Ordering[(Long, Double)] =
-      Ordering.by[(Long, Double), (Double, Long)] { case (e, d) => (-d, e) }
-    val result = mutable.PriorityQueue.empty[(Long, Double)]
-    def kthDegree: Double = if (result.size < k) -1.0 else result.head._2
-
-    val cands = new PriorityQueue[Cand](new Comparator[Cand] {
-      def compare(a: Cand, b: Cand): Int = java.lang.Double.compare(b.ub, a.ub)
-    })
-    cands.add(new Cand(tree.root, ctx.freshMasks(), 1.0))
-    var checked = 0
-    var visited = 0
-
-    while (!cands.isEmpty) {
-      val cand = cands.poll()
-      visited += 1
-      // Early termination (Lines 4-5): the k-th best exact degree already
-      // dominates every remaining upper bound.
-      if (result.size == k && kthDegree >= cand.ub)
-        return finish(result, checked, visited)
-      val node = cand.node
-      if (node.isLeaf) {
-        store.prefetch(node.entities.filter(_ != q))
-        node.entities.foreach { e =>
-          if (e != q) {
-            val d = store.degree(measure, e, q)
-            checked += 1
-            if (result.size < k) result.enqueue((e, d))
-            else if (d > kthDegree || (d == kthDegree && e < result.head._1)) {
-              result.dequeue(); result.enqueue((e, d))
-            }
-          }
-        }
-      } else {
-        node.children.valuesIterator.foreach { child =>
-          val masks = ctx.pruneMasks(cand.masks, child, tree.pruneCoords)
-          val ub = math.min(cand.ub, ctx.upperBound(masks))
-          if (result.size < k || ub > kthDegree)
-            cands.add(new Cand(child, masks, ub))
-        }
+    val step = new LeafStep {
+      def take(leaf: SigNode, emit: (Long, Double) => Unit): Unit = {
+        store.prefetch(leaf.entities.filter(_ != q))
+        leaf.entities.foreach(e => if (e != q) emit(e, store.degree(measure, e, q)))
       }
     }
-    finish(result, checked, visited)
+    BestFirst.search(tree, QueryContext(store, hasher, measure, q), k, step)
   }
-
-  private def finish(
-      result: mutable.PriorityQueue[(Long, Double)],
-      checked: Int,
-      visited: Int,
-  ): TopKResult =
-    TopKResult(
-      result.toSeq.sortBy { case (e, d) => (-d, e) },
-      checked,
-      visited,
-    )
 }

@@ -14,10 +14,10 @@ import repro.spindex.SpIndex
   * the raw data, paging entity records off an HDD (1,750 MiB/s throughput-
   * optimized EBS). We reproduce the same hit/miss asymmetry with:
   *
-  *  - an on-disk record file (one fully-rolled-up trace per entity, found
-  *    via an offset index — the paper's "records organized by their
-  *    relative position in the MinSigTree" are modeled by writing entities
-  *    in index order, so a leaf's members are adjacent on disk);
+  *  - an on-disk binary record file (one fully-rolled-up trace per entity,
+  *    found via an offset index), written in entity-id order — not in the
+  *    paper's MinSigTree order, so a leaf's members are not adjacent on
+  *    disk; misses are read from it on the driver;
   *  - a bounded LRU cache of decoded traces (the allocated memory);
   *  - a simulated device latency charged per miss batch (seek) and per
   *    missed entity (transfer), since the container's page cache would

@@ -35,24 +35,52 @@ class DistributedTopKSpec extends SparkSpec {
     got.foreach { case (e, deg) => assert(math.abs(deg - expected(e)) < 1e-9, s"entity $e") }
   }
 
+  /** Runs both searches, checks each is an exact Top-k, and returns them. */
+  private def both(store: TraceStore, levelCells: org.apache.spark.sql.DataFrame, h: CellHasher,
+      tree: MinSigTree, d: Measure, q: Long, k: Int, batchEntities: Int = 4096) = {
+    val driver = new TopKSearcher(tree, store, h, d).search(q, k).hits
+    val dist = DistributedTopK.search(spark, tree, levelCells, h, d, q, k, batchEntities).hits
+    val clue = s"batch=$batchEntities"
+    ExactTopK.check(driver, store, d, q, k, s"driver $clue")
+    ExactTopK.check(dist, store, d, q, k, s"spark $clue")
+    (driver, dist)
+  }
+
   test("distributed search returns the same degree sequence as the driver search") {
     val (_, store, levelCells, h, tree, d) = setup(80, 402)
-    val searcher = new TopKSearcher(tree, store, h, d)
     for (q <- Seq(0L, 7L, 19L); k <- Seq(1, 5)) {
-      val driver = searcher.search(q, k).hits.map(_._2).filter(_ > 0)
-      val dist = DistributedTopK.search(spark, tree, levelCells, h, d, q, k).hits.map(_._2)
+      val (driver, dist) = both(store, levelCells, h, tree, d, q, k)
       assert(dist.size == driver.size, s"q=$q k=$k")
-      dist.zip(driver).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9, s"q=$q k=$k") }
+      dist.zip(driver).foreach { case (a, b) => assert(math.abs(a._2 - b._2) < 1e-9, s"q=$q k=$k") }
     }
   }
 
   test("distributed search with tiny batches still terminates correctly") {
     val (_, store, levelCells, h, tree, d) = setup(50, 403)
-    val searcher = new TopKSearcher(tree, store, h, d)
-    val driver = searcher.search(3L, 3).hits.map(_._2).filter(_ > 0)
-    val dist = DistributedTopK.search(spark, tree, levelCells, h, d, 3L, 3, batchEntities = 2)
-      .hits.map(_._2)
-    dist.zip(driver).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9) }
+    val (driver, dist) = both(store, levelCells, h, tree, d, 3L, 3, batchEntities = 2)
+    assert(dist.size == driver.size)
+    dist.zip(driver).foreach { case (a, b) => assert(math.abs(a._2 - b._2) < 1e-9) }
+  }
+
+  test("distributed search keeps zero-degree entities when k exceeds the non-zero answers") {
+    val (_, store, levelCells, h, tree, d) = setup(50, 407)
+    val q = 5L
+    val nonZero = BruteForce.rankAll(store, d, q).count(_._2 > 0)
+    val k = nonZero + 3
+    assert(k < store.entities.size - 1, s"only ${store.entities.size - nonZero - 1} zero-degree entities")
+    for (batch <- Seq(1, 2, 4096)) {
+      val (_, dist) = both(store, levelCells, h, tree, d, q, k, batch)
+      assert(dist.count(_._2 == 0.0) == 3, s"batch=$batch")
+    }
+  }
+
+  test("distributed and driver searches agree under an asymmetric measure") {
+    val (sp, store, levelCells, h, tree, _) = setup(60, 408)
+    val d = AsymmetricMeasure(sp.m)
+    for (q <- Seq(2L, 13L); batch <- Seq(2, 4096)) {
+      val (driver, dist) = both(store, levelCells, h, tree, d, q, 5, batch)
+      assert(dist == driver, s"q=$q batch=$batch")
+    }
   }
 
   test("distributed search checked count never exceeds |E| - 1") {
@@ -72,5 +100,11 @@ class DistributedTopKSpec extends SparkSpec {
     val (sp, _, levelCells, _, _, _) = setup(10, 406)
     intercept[IllegalArgumentException](
       DistributedTopK.queryCells(spark, levelCells, 888L, sp.m))
+  }
+
+  test("brute-force degreesDf for an absent entity throws") {
+    val (sp, _, levelCells, _, _, d) = setup(10, 409)
+    intercept[IllegalArgumentException](
+      BruteForce.degreesDf(spark, levelCells, 888L, d, sp))
   }
 }

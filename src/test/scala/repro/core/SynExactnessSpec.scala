@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.baseline.BruteForce
 import repro.mobility.{ImParams, TraceGen}
 import repro.spindex.SpIndex
 
@@ -24,11 +23,7 @@ class SynExactnessSpec extends SparkSpec {
   test("top-k degrees match brute force on SYN companion data (nh=64)") {
     val (_, store, searcher, d, _) = setup(400, 64, 901)
     for (q <- Seq(0L, 8L, 17L, 100L, 333L); k <- Seq(1, 10, 50)) {
-      val expected = BruteForce.topK(store, d, q, k).map(_._2)
-      val got = searcher.search(q, k).hits.map(_._2)
-      got.zip(expected).foreach { case (a, b) =>
-        assert(math.abs(a - b) < 1e-9, s"q=$q k=$k")
-      }
+      ExactTopK.check(searcher.search(q, k).hits, store, d, q, k)
     }
   }
 
@@ -67,12 +62,14 @@ class SynExactnessSpec extends SparkSpec {
     val (sp, store, searcher, d, cells) = setup(300, 64, 905)
     val levelCells = Cells.levelCells(spark, cells, sp).cache()
     for (q <- Seq(0L, 42L, 111L)) {
-      val driver = searcher.search(q, 5).hits.map(_._2).filter(_ > 0)
+      val driver = searcher.search(q, 5).hits
       val dist = DistributedTopK
         .search(spark, searcher.tree, levelCells, searcher.hasher, d, q, 5)
-        .hits.map(_._2)
+        .hits
+      ExactTopK.check(driver, store, d, q, 5, "driver")
+      ExactTopK.check(dist, store, d, q, 5, "spark")
       assert(dist.size == driver.size, s"q=$q")
-      dist.zip(driver).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9, s"q=$q") }
+      dist.zip(driver).foreach { case (a, b) => assert(math.abs(a._2 - b._2) < 1e-9, s"q=$q") }
     }
     levelCells.unpersist()
   }

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.{Callable, CountDownLatch, Executors, TimeUnit}
+
 import repro.{PaperExample, SparkSpec}
 import repro.baseline.BruteForce
 import repro.mobility.{ImModel, ImParams, TraceGen}
@@ -66,16 +68,10 @@ class TopKSpec extends SparkSpec {
     (store, new TopKSearcher(tree, store, h, d), d)
   }
 
-  // Exactness: the top-k *degree multiset* must equal brute force's (entity
+  // Exactness: the top-k *degree list* must equal brute force's (entity
   // sets may differ under ties; any tie-respecting answer is a valid top-k).
-  private def assertExact(store: TraceStore, searcher: TopKSearcher, d: Measure, q: Long, k: Int): Unit = {
-    val expected = BruteForce.topK(store, d, q, k).map(_._2)
-    val got = searcher.search(q, k)
-    assert(got.hits.size == expected.size, s"q=$q k=$k sizes")
-    got.hits.map(_._2).zip(expected).zipWithIndex.foreach { case ((g, e), i) =>
-      assert(math.abs(g - e) < 1e-9, s"q=$q k=$k rank $i: got $g expected $e")
-    }
-  }
+  private def assertExact(store: TraceStore, searcher: TopKSearcher, d: Measure, q: Long, k: Int): Unit =
+    ExactTopK.check(searcher.search(q, k).hits, store, d, q, k)
 
   private val measureFactories: Seq[(String, SpIndex => Measure)] = Seq(
     "ADM(1,1)" -> (sp => AdmMeasure(sp.m, 1, 1)),
@@ -195,6 +191,38 @@ class TopKSpec extends SparkSpec {
     fresh.foreach { case (e, cs) => tree.insert(e, Signatures.computeLocal(cs, sp, h)) }
     val searcher = new TopKSearcher(tree, store2, h, d)
     store2.entities.toSeq.sorted.take(8).foreach(q => assertExact(store2, searcher, d, q, 5))
+  }
+
+  test("concurrent queries on one searcher return the sequential results") {
+    def build() = randomSetup(150, 16, 315, sp => AdmMeasure(sp.m, 1, 1))
+    val (store, sequential, _) = build()
+    val queries = store.entities.toSeq.sorted.take(16)
+    val expected = queries.map(q => sequential.search(q, 10))
+    // A second, identical build: its nodes' top-coordinate caches are still
+    // empty, so the threads race to fill them.
+    val (_, shared, _) = build()
+    val threads = 8
+    val pool = Executors.newFixedThreadPool(threads)
+    try {
+      val start = new CountDownLatch(1)
+      val runs = (0 until threads).map { t =>
+        pool.submit(new Callable[Seq[(Int, TopKResult)]] {
+          def call(): Seq[(Int, TopKResult)] = {
+            start.await()
+            queries.indices.map { i =>
+              val j = (i + t) % queries.size
+              j -> shared.search(queries(j), 10)
+            }
+          }
+        })
+      }
+      start.countDown()
+      runs.zipWithIndex.foreach { case (run, t) =>
+        run.get(120, TimeUnit.SECONDS).foreach { case (j, r) =>
+          assert(r == expected(j), s"thread $t query ${queries(j)}")
+        }
+      }
+    } finally pool.shutdownNow()
   }
 
   test("checked count is bounded by |E|-1 and PE is within [0, 1]") {
