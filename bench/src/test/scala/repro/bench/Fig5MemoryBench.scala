@@ -10,10 +10,12 @@ import repro.storage.CachedTraceStore
 /** Figure 5 (§6.6): query time vs allocated memory (fraction of the data
   * resident), Top-1/10/50.
   *
-  * Substrate substitution (DESIGN.md §3): a parquet-backed trace store with
-  * a bounded LRU entity cache stands in for the paper's buffer pool over
-  * HDD. Paper claims: descending, super-linear drop at small memory, small
-  * variation once memory reaches ~40–50% of the data.
+  * Substrate substitution (DESIGN.md §3): a binary record file of rolled-up
+  * traces in entity-id order, read on the driver through a bounded LRU
+  * entity cache with a simulated device delay per miss, stands in for the
+  * paper's buffer pool over HDD. Paper claims: descending, super-linear
+  * drop at small memory, small variation once memory reaches ~40–50% of
+  * the data.
   */
 class Fig5MemoryBench extends SparkSpec {
 

@@ -78,10 +78,10 @@ final class MinSigTree(val sp: SpIndex, val nh: Int) {
 
   val root = new SigNode(0, -1)
 
-  /** Routing path and routed values for each indexed entity, kept to make
-    * removal O(m) (paper §3.2.3 step 1).
+  /** Routing path (one routing index per level) of each indexed entity,
+    * kept to make removal O(m) (paper §3.2.3 step 1).
     */
-  val entityPath: mutable.HashMap[Long, (Array[Int], Array[Int])] = mutable.HashMap.empty
+  val entityPath: mutable.HashMap[Long, Array[Int]] = mutable.HashMap.empty
 
   def size: Int = entityPath.size
 
@@ -101,7 +101,7 @@ final class MinSigTree(val sp: SpIndex, val nh: Int) {
     */
   def insert(entity: Long, sig: Array[Int]): Unit = {
     require(!entityPath.contains(entity), s"entity $entity already indexed")
-    val (ridx, rval) = Signatures.routing(sig, sp.m, nh)
+    val ridx = Signatures.routing(sig, sp.m, nh)._1
     var node = root
     var l = 0
     while (l < sp.m) {
@@ -111,7 +111,7 @@ final class MinSigTree(val sp: SpIndex, val nh: Int) {
       l += 1
     }
     node.entities += entity
-    entityPath(entity) = (ridx, rval)
+    entityPath(entity) = ridx
   }
 
   /** Number of signature coordinates used for pruning at query time. */
@@ -122,7 +122,7 @@ final class MinSigTree(val sp: SpIndex, val nh: Int) {
     * so search stays exact, merely with slightly looser pruning.
     */
   def remove(entity: Long): Unit = {
-    val (ridx, _) = entityPath.remove(entity).getOrElse(
+    val ridx = entityPath.remove(entity).getOrElse(
       throw new NoSuchElementException(s"entity $entity not indexed"))
     val path = new Array[SigNode](sp.m + 1)
     path(0) = root

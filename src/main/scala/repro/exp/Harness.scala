@@ -6,7 +6,7 @@ import repro.analysis.Metrics
 import repro.core._
 import repro.spindex.SpIndex
 
-/** Shared experiment harness used by bench suites and spark-submit jobs:
+/** Shared experiment harness used by the bench suites:
   * builds the full pipeline (traces → store → signatures → MinSigTree) and
   * measures pruning effectiveness over sampled queries.
   */
@@ -45,7 +45,7 @@ object Harness {
     }
   }
 
-  final case class PeStats(avgPe: Double, avgChecked: Double, avgKthDegree: Double, avgMillis: Double)
+  final case class PeStats(avgPe: Double, avgChecked: Double, avgKthDegree: Double)
 
   /** Average PE (Definition 5.1) of MinSigTree search over `queries`.
     * Queries run in parallel — the searcher and store are read-only.
@@ -61,11 +61,9 @@ object Harness {
       val results = Await.result(
         Future.sequence(queries.map { q =>
           Future {
-            val t0 = System.nanoTime()
             val r = searcher.search(q, k)
-            val ms = (System.nanoTime() - t0) / 1e6
             (Metrics.pe(r.checked, k, n), r.checked.toDouble,
-             if (r.hits.size >= k) r.hits(k - 1)._2 else 0.0, ms)
+             if (r.hits.size >= k) r.hits(k - 1)._2 else 0.0)
           }
         }),
         Duration.Inf,
@@ -74,7 +72,6 @@ object Harness {
         results.map(_._1).sum / queries.size,
         results.map(_._2).sum / queries.size,
         results.map(_._3).sum / queries.size,
-        results.map(_._4).sum / queries.size,
       )
     } finally pool.shutdown()
   }

@@ -108,12 +108,15 @@ object SpIndex {
 
   /** Build an sp-index per the hierarchical model of §5.2.
     *
-    * @param side grid side, must be a power of two
+    * @param side grid side, a power of two of at most 4096 (so the
+    *             `side²` base unit ids fit `Cells.UnitBits`)
     * @param m    number of levels ≥ 1
     * @param a    width power-law exponent (Eq. 11)
     * @param b    relative density exponent (Eq. 12)
     */
   def build(side: Int, m: Int, a: Double, b: Double): SpIndex = {
+    require(side <= 4096,
+      s"side=$side: base unit ids must fit the 24-bit unit field of the cell encoding (side <= 4096)")
     require(side >= 2 && (side & (side - 1)) == 0, s"side=$side must be a power of two")
     require(m >= 1)
     val nBase = side * side

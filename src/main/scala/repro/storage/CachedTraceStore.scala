@@ -35,12 +35,13 @@ final class CachedTraceStore(
     perEntityMicros: Long = 50,
 ) extends TraceSource {
 
-  /** Cache misses served so far (each missed entity = one record read). */
-  var misses: Long = 0L
-  var hits: Long = 0L
+  /** Cache misses (each missed entity = one record read) and hits so far. */
+  @volatile var misses: Long = 0L
+  @volatile var hits: Long = 0L
 
   private val file = new RandomAccessFile(path, "r")
 
+  // Access-ordered: even `get` relinks entries, so every use holds the lock.
   private val cache =
     new JLinkedHashMap[Long, Array[Array[Long]]](capacity + 1, 0.75f, /*accessOrder=*/ true) {
       override def removeEldestEntry(e: JMap.Entry[Long, Array[Array[Long]]]): Boolean =
@@ -49,31 +50,36 @@ final class CachedTraceStore(
 
   def contains(e: Long): Boolean = index.contains(e)
 
-  def levelCells(e: Long, level: Int): Array[Long] = {
-    var v = cache.get(e)
-    if (v == null) { load(Seq(e)); v = cache.get(e) }
-    else hits += 1
-    v(level - 1)
+  def levelCells(e: Long, level: Int): Array[Long] = synchronized {
+    val v = cache.get(e)
+    if (v == null) load(Seq(e)).head(level - 1)
+    else { hits += 1; v(level - 1) }
   }
 
-  override def prefetch(es: Iterable[Long]): Unit = {
+  override def prefetch(es: Iterable[Long]): Unit = synchronized {
     val missing = es.filter(e => cache.get(e) == null).toSeq.distinct
     if (missing.nonEmpty) load(missing)
   }
 
-  private def load(es: Seq[Long]): Unit = synchronized {
+  /** Reads, decodes and caches `es` as one device batch; returns the
+    * records in order. Callers hold the lock.
+    */
+  private def load(es: Seq[Long]): Seq[Array[Array[Long]]] = {
     misses += es.size
     // Simulated device: one seek per batch plus per-record transfer time.
     val nanos = (seekMicros + perEntityMicros * es.size) * 1000
     val deadline = System.nanoTime() + nanos
-    es.foreach { e =>
+    val records = es.map { e =>
       val (off, len) = index(e)
       val buf = new Array[Byte](len)
       file.seek(off)
       file.readFully(buf)
-      cache.put(e, CachedTraceStore.decode(buf, sp.m))
+      val v = CachedTraceStore.decode(buf, sp.m)
+      cache.put(e, v)
+      v
     }
     while (System.nanoTime() < deadline) Thread.onSpinWait()
+    records
   }
 }
 

@@ -125,6 +125,13 @@ class SpIndexSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](SpIndex.build(0, 2, 1.0, 1.0))
   }
 
+  test("build rejects sides whose unit ids overflow the 24-bit cell encoding") {
+    // side 8192 has 2^26 base units; their ids would spill into the time
+    // field of Cells.encode, so cells of different time steps would collide.
+    val e = intercept[IllegalArgumentException](SpIndex.build(8192, 4, 2, 2))
+    assert(e.getMessage.contains("24-bit"), e.getMessage)
+  }
+
   test("m=1 degenerates to base units only") {
     val sp = SpIndex.build(8, 1, 2.0, 2.0)
     assert(sp.widths.toSeq == Seq(64))

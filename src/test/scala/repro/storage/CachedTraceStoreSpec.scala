@@ -1,6 +1,7 @@
 package repro.storage
 
 import java.nio.file.Files
+import java.util.concurrent.{Callable, CountDownLatch, Executors, TimeUnit}
 
 import repro.SparkSpec
 import repro.core._
@@ -12,13 +13,20 @@ import repro.spindex.SpIndex
   */
 class CachedTraceStoreSpec extends SparkSpec {
 
-  private def setup(capacity: Int) = {
+  private def setup(capacity: Int, seekMicros: Long = 1000, perEntityMicros: Long = 50) = {
     val sp = SpIndex.build(16, 3, 2.0, 1.0)
     val cells = TraceGen.syn(spark, 16, 40, repro.mobility.ImParams(horizon = 30), 701)
     val mem = TraceStore.fromCells(spark, cells, sp)
     val dir = Files.createTempDirectory("cached-store").toString
-    val cached = CachedTraceStore.create(spark, cells, sp, s"$dir/cells", capacity)
+    val cached = CachedTraceStore.create(spark, cells, sp, s"$dir/cells", capacity, seekMicros, perEntityMicros)
     (sp, mem, cached)
+  }
+
+  private def cellsOf(mem: TraceStore) = {
+    import spark.implicits._
+    mem.entities.toSeq.flatMap { e =>
+      mem.baseCells(e).map { case (t, loc) => (e, t, loc) }
+    }.toDF("entity", "t", "loc")
   }
 
   test("cached store returns the same level cells as the in-memory store") {
@@ -58,14 +66,8 @@ class CachedTraceStoreSpec extends SparkSpec {
 
   test("MinSigTree search over the cached store is exact") {
     val (sp, mem, cached) = setup(capacity = 6)
-    val cellsDf = {
-      import spark.implicits._
-      mem.entities.toSeq.flatMap { e =>
-        mem.baseCells(e).map { case (t, loc) => (e, t, loc) }
-      }.toDF("entity", "t", "loc")
-    }
     val h = new AdditiveHasher(sp, 8, 702)
-    val tree = MinSigTree.fromCells(spark, cellsDf, sp, h)
+    val tree = MinSigTree.fromCells(spark, cellsOf(mem), sp, h)
     val d = AdmMeasure(sp.m, 1, 1)
     val memSearch = new TopKSearcher(tree, mem, h, d)
     val cachedSearch = new TopKSearcher(tree, cached, h, d)
@@ -74,6 +76,47 @@ class CachedTraceStoreSpec extends SparkSpec {
       val b = cachedSearch.search(q, 3).hits.map(_._2)
       a.zip(b).foreach { case (x, y) => assert(math.abs(x - y) < 1e-9, s"q=$q") }
     }
+  }
+
+  test("concurrent queries over a small cache return the sequential in-memory answers") {
+    // Two of the 40 entities fit, and no simulated device delay slows the
+    // threads' race on the cache: each lookup evicts what another thread
+    // has just loaded.
+    val (sp, mem, cached) = setup(capacity = 2, seekMicros = 0, perEntityMicros = 0)
+    val es = mem.entities.toSeq.sorted
+    val h = new AdditiveHasher(sp, 8, 703)
+    val tree = MinSigTree.fromCells(spark, cellsOf(mem), sp, h)
+    val d = AdmMeasure(sp.m, 1, 1)
+    val queries = es.take(16)
+    val expected = {
+      val memSearch = new TopKSearcher(tree, mem, h, d)
+      queries.map(q => memSearch.search(q, 5).hits)
+    }
+    val shared = new TopKSearcher(tree, cached, h, d)
+    val threads = 8
+    val pool = Executors.newFixedThreadPool(threads)
+    try {
+      val start = new CountDownLatch(1)
+      val runs = (0 until threads).map { t =>
+        pool.submit(new Callable[Seq[(Int, Seq[(Long, Double)])]] {
+          def call(): Seq[(Int, Seq[(Long, Double)])] = {
+            start.await()
+            (0 until 40 * queries.size).map { i =>
+              val j = (i + t) % queries.size
+              j -> shared.search(queries(j), 5).hits
+            }
+          }
+        })
+      }
+      start.countDown()
+      runs.zipWithIndex.foreach { case (run, t) =>
+        run.get(120, TimeUnit.SECONDS).foreach { case (j, hits) =>
+          assert(hits == expected(j), s"thread $t query ${queries(j)}")
+          ExactTopK.check(hits, mem, d, queries(j), 5, s"thread $t")
+        }
+      }
+    } finally pool.shutdownNow()
+    assert(cached.misses > es.size, "the cache must be too small to hold every entity")
   }
 
   test("prefetch batches misses into one load") {
