@@ -45,22 +45,23 @@ object PeModel {
     math.min(1.0, s)
   }
 
-  /** Predicted PE (Eq. 19): sum over routed-value buckets of the bucket
-    * mass times the survival probability of a leaf in that bucket.
+  val Buckets = 200
+
+  /** Predicted PE (Eq. 19): sum over `Buckets` routed-value buckets of the
+    * bucket mass times the survival probability of a leaf in that bucket.
     *
     * @param rangeR hash range
     * @param len    typical number of base ST-cells per entity
     * @param nh     number of hash functions
     * @param nc     minimal shared-cell count for degree ≥ d_e
-    * @param nr     number of buckets
     */
-  def predictPe(rangeR: Int, len: Int, nh: Int, nc: Int, nr: Int = 200): Double = {
+  def predictPe(rangeR: Int, len: Int, nh: Int, nc: Int): Double = {
     require(rangeR > 1 && len >= 1 && nh >= 1 && nc >= 1)
     var pe = 0.0
     var j = 0
-    while (j < nr) {
-      val lo = (j.toLong * rangeR / nr).toInt
-      val hi = ((j + 1).toLong * rangeR / nr).toInt - 1
+    while (j < Buckets) {
+      val lo = (j.toLong * rangeR / Buckets).toInt
+      val hi = ((j + 1).toLong * rangeR / Buckets).toInt - 1
       val mass = routedCdf(rangeR, len, nh, hi) -
         (if (j == 0) 0.0 else routedCdf(rangeR, len, nh, lo - 1))
       if (mass > 0) {

@@ -58,6 +58,12 @@ object ClusterBitmap {
     (((z % n) + n) % n).toInt
   }
 
+  // Pair mining: cells kept per transaction (sampled when longer), the
+  // sampling seed, and the most frequent pairs kept per level.
+  val MaxCellsPerEntity = 30
+  val SampleSeed = 11L
+  val MaxPairs = 200000
+
   /** Mine per-level clusters and build the bitmap index. */
   def build(
       spark: SparkSession,
@@ -65,9 +71,6 @@ object ClusterBitmap {
       sp: SpIndex,
       nClusters: Int = 64,
       minSupport: Int = 3,
-      maxCellsPerEntity: Int = 30,
-      maxPairs: Int = 200000,
-      seed: Long = 11,
   ): ClusterBitmapIndex = {
     import spark.implicits._
     val bcSp = spark.sparkContext.broadcast(sp)
@@ -88,11 +91,11 @@ object ClusterBitmap {
       // transaction to bound the quadratic blowup.
       val pairs = perEntity
         .flatMap { case (e, byLevel) =>
-          val rng = new java.util.SplittableRandom(seed ^ (e * 31 + level))
+          val rng = new java.util.SplittableRandom(SampleSeed ^ (e * 31 + level))
           val cs = byLevel(level - 1)
           val sample =
-            if (cs.length <= maxCellsPerEntity) cs
-            else Array.fill(maxCellsPerEntity)(cs(rng.nextInt(cs.length))).distinct
+            if (cs.length <= MaxCellsPerEntity) cs
+            else Array.fill(MaxCellsPerEntity)(cs(rng.nextInt(cs.length))).distinct
           for {
             i <- sample.indices.iterator
             j <- (i + 1) until sample.length
@@ -103,7 +106,7 @@ object ClusterBitmap {
         .filter(_._2 >= minSupport)
         .map { case ((a, b), c) => (a, b, c) }
         .orderBy($"_3".desc)
-        .limit(maxPairs)
+        .limit(MaxPairs)
         .collect()
 
       // Union-find over frequent pairs.
@@ -165,6 +168,8 @@ object ClusterBitmap {
       q: Long,
       k: Int,
   ): TopKResult = {
+    require(k >= 1)
+    require(store.contains(q), s"query entity $q has no trace")
     val sp = idx.sp
     val qLevel = Array.tabulate(sp.m)(li => store.levelCells(q, li + 1))
     val qSizes = qLevel.map(_.length)

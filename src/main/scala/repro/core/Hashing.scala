@@ -48,23 +48,21 @@ trait CellHasher extends Serializable {
 }
 
 /** Production hash family: `h_u(t, unit) = T_u(t) + σ_u(unit)` where
-  * `T_u(t)` is a per-(u, t) pseudo-random value in `[0, rT)` and
+  * `T_u(t)` is a per-(u, t) pseudo-random value in `[0, partRange)` and
   * `σ_u(unit)` is the minimum over the unit's base descendants of a
-  * per-(u, base) pseudo-random value in `[0, rL)` (pre-rolled up the
+  * per-(u, base) pseudo-random value in `[0, partRange)` (pre-rolled up the
   * sp-index). Because the sum is monotone in σ and σ rolls up by min, the
   * paper's parent-min constraint holds exactly at every level, which is all
   * Theorems 3.1–3.3 and 4.1 need; hash uniformity affects only pruning
   * power, not correctness.
   */
-final class AdditiveHasher(sp: SpIndex, val nh: Int, seed: Long, rT: Int, rL: Int)
-    extends CellHasher {
+final class AdditiveHasher(sp: SpIndex, val nh: Int, seed: Long) extends CellHasher {
 
-  def this(sp: SpIndex, nh: Int, seed: Long) =
-    // Default range mirrors the paper's [0, n·t): split evenly between the
-    // time part and the location part.
-    this(sp, nh, seed, math.max(2, sp.nBase), math.max(2, sp.nBase))
+  // The paper's [0, n·t) range, split evenly between the time part and the
+  // location part. `SpIndex.build` caps nBase at 2^24, so `range` < 2^25.
+  private val partRange: Int = math.max(2, sp.nBase)
 
-  val range: Int = rT + rL - 1
+  val range: Int = 2 * partRange - 1
 
   // sigma(l-1)(unit)(u): rolled-up per-unit location hash minima.
   private val sigma: Array[Array[Array[Int]]] = {
@@ -73,7 +71,7 @@ final class AdditiveHasher(sp: SpIndex, val nh: Int, seed: Long, rT: Int, rL: In
     while (loc < sp.nBase) {
       var u = 0
       while (u < nh) {
-        val v = AdditiveHasher.mixInt(seed ^ 0x51ed270b, u, loc, rL)
+        val v = AdditiveHasher.mixInt(seed ^ 0x51ed270b, u, loc, partRange)
         var l = 1
         while (l <= sp.m) {
           val unit = sp.ancestor(l, loc)
@@ -95,7 +93,7 @@ final class AdditiveHasher(sp: SpIndex, val nh: Int, seed: Long, rT: Int, rL: In
     new java.util.concurrent.ConcurrentHashMap[Integer, Array[Int]]()
 
   private def tRow(t: Int): Array[Int] =
-    tCache.computeIfAbsent(t, _ => Array.tabulate(nh)(u => AdditiveHasher.mixInt(seed, u, t, rT)))
+    tCache.computeIfAbsent(t, _ => Array.tabulate(nh)(u => AdditiveHasher.mixInt(seed, u, t, partRange)))
 
   def unit(u: Int, level: Int, t: Int, unitId: Int): Int =
     tRow(t)(u) + sigma(level - 1)(unitId)(u)

@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.spindex.SpIndex
 
@@ -54,18 +54,17 @@ final class SigNode(
     topCache = null
   }
 
-  /** The `c` largest signature coordinates as a flattened array of
+  /** The `MinSigTree.TopCoords` largest signature coordinates as flattened
     * (coordinate, value) pairs, value-descending — the pruning working set.
     */
-  def topCoords(c: Int): Array[Int] = {
-    val cached = topCache
-    if (cached != null && cached.length >= 2 * math.min(c, minSig.length)) cached
-    else {
-      val order = minSig.indices.sortBy(u => -minSig(u)).take(c)
-      val fresh = order.flatMap(u => Seq(u, minSig(u))).toArray
-      topCache = fresh
-      fresh
+  def topCoords: Array[Int] = {
+    var coords = topCache
+    if (coords == null) {
+      val order = minSig.indices.sortBy(u => -minSig(u)).take(MinSigTree.TopCoords)
+      coords = order.flatMap(u => Seq(u, minSig(u))).toArray
+      topCache = coords
     }
+    coords
   }
 }
 
@@ -184,24 +183,15 @@ object MinSigTree {
     */
   val TopCoords = 64
 
-  /** Build from distributed signatures (Algorithm 1). The signature stage
-    * is the data-parallel part; the grouping stage collects the (tiny)
+  /** Build end-to-end from a cells DataFrame (Algorithm 1). The signature
+    * stage is the data-parallel part; the grouping stage collects the (tiny)
     * per-entity routing vectors and assembles the tree on the driver.
     */
-  def fromSignatures(sigs: Dataset[EntitySig], sp: SpIndex, nh: Int): MinSigTree = {
-    val tree = new MinSigTree(sp, nh)
-    sigs.collect().foreach(es => tree.insert(es.entity, es.sig))
+  def fromCells(spark: SparkSession, cells: DataFrame, sp: SpIndex, hasher: CellHasher): MinSigTree = {
+    val tree = new MinSigTree(sp, hasher.nh)
+    Signatures.compute(spark, cells, sp, hasher).collect().foreach(es => tree.insert(es.entity, es.sig))
     tree
   }
-
-  /** Build end-to-end from a cells DataFrame. */
-  def fromCells(
-      spark: SparkSession,
-      cells: DataFrame,
-      sp: SpIndex,
-      hasher: CellHasher,
-  ): MinSigTree =
-    fromSignatures(Signatures.compute(spark, cells, sp, hasher), sp, nh = hasher.nh)
 
   /** Driver build for unit tests. */
   def fromLocal(sigs: Map[Long, Array[Int]], sp: SpIndex, nh: Int): MinSigTree = {

@@ -60,14 +60,14 @@ final class QueryContext(
 
   /** Child masks after applying a node's pruned set: levels below the
     * node's are shared (never modified deeper), levels ≥ are copied and
-    * pruned. A cell is pruned when ANY of the node's retained signature
-    * coordinates certifies absence (Theorem 3.2 over each coordinate);
-    * `coords` is the node's flattened (u, value) pair list.
+    * pruned. A cell is pruned when ANY of the node's `topCoords` certifies
+    * absence (Theorem 3.2 over each coordinate).
     */
-  def pruneMasks(parent: Array[Array[Boolean]], level: Int, coords: Array[Int]): Array[Array[Boolean]] = {
+  def pruneMasks(parent: Array[Array[Boolean]], node: SigNode): Array[Array[Boolean]] = {
+    val coords = node.topCoords
     val out = new Array[Array[Boolean]](sp.m)
     var li = 0
-    while (li < level - 1) { out(li) = parent(li); li += 1 }
+    while (li < node.level - 1) { out(li) = parent(li); li += 1 }
     while (li < sp.m) {
       val src = parent(li)
       val dst = new Array[Boolean](src.length)
@@ -90,10 +90,6 @@ final class QueryContext(
     }
     out
   }
-
-  /** Convenience overload pruning with a node's retained coordinates. */
-  def pruneMasks(parent: Array[Array[Boolean]], node: SigNode, topCoords: Int): Array[Array[Boolean]] =
-    pruneMasks(parent, node.level, node.topCoords(topCoords))
 
   def upperBound(masks: Array[Array[Boolean]]): Double = {
     val surv = new Array[Int](sp.m)
@@ -169,7 +165,7 @@ private[core] object BestFirst {
       else if (node.isLeaf) step.take(node, emit)
       else {
         node.children.valuesIterator.foreach { child =>
-          val masks = ctx.pruneMasks(cand.masks, child, tree.pruneCoords)
+          val masks = ctx.pruneMasks(cand.masks, child)
           val ub = math.min(cand.ub, ctx.upperBound(masks))
           if (result.size < k || ub > kthDegree)
             cands.add(new Cand(child, masks, ub))

@@ -20,24 +20,28 @@ object Harness {
       buildMillis: Long,
   )
 
+  // Hash-family seed of every build; fewest base cells of a query.
+  val HasherSeed = 17L
+  val MinQueryCells = 5
+
   /** Build store + signatures + MinSigTree from a cells DataFrame.
-    * `buildMillis` covers the indexing work only (signatures + tree), the
-    * quantity Figure 7 reports.
+    * `buildMillis`, the quantity Figure 7 reports, times the `AdditiveHasher`
+    * constructor (with its σ table), the signatures and the tree, not the store.
     */
-  def build(spark: SparkSession, sp: SpIndex, cells: DataFrame, nh: Int, seed: Long = 17): Built = {
+  def build(spark: SparkSession, sp: SpIndex, cells: DataFrame, nh: Int): Built = {
     val store = TraceStore.fromCells(spark, cells, sp)
     val t0 = System.nanoTime()
-    val hasher = new AdditiveHasher(sp, nh, seed)
+    val hasher = new AdditiveHasher(sp, nh, HasherSeed)
     val tree = MinSigTree.fromCells(spark, cells, sp, hasher)
     val buildMillis = (System.nanoTime() - t0) / 1000000
     Built(sp, store, hasher, tree, buildMillis)
   }
 
-  /** Deterministic query sample: entities with the most cells spread over a
-    * stride, so queries have non-trivial traces but varied behavior.
+  /** Deterministic query sample: entities with ≥ `MinQueryCells` base cells
+    * spread over a stride, so queries have non-trivial traces but varied behavior.
     */
-  def pickQueries(store: TraceStore, n: Int, minCells: Int = 5): Seq[Long] = {
-    val eligible = store.entities.toSeq.sorted.filter(e => store.sizes(e)(store.sp.m - 1) >= minCells)
+  def pickQueries(store: TraceStore, n: Int): Seq[Long] = {
+    val eligible = store.entities.toSeq.sorted.filter(e => store.sizes(e)(store.sp.m - 1) >= MinQueryCells)
     if (eligible.size <= n) eligible
     else {
       val stride = eligible.size / n

@@ -30,9 +30,6 @@ object Workloads {
   final case class RealConfig(
       nEntities: Long = 10000,
       side: Int = DefaultSide,
-      m: Int = DefaultM,
-      a: Double = DefaultA,
-      b: Double = DefaultB,
       horizon: Int = 240,
       seed: Long = 43,
   )
@@ -46,7 +43,7 @@ object Workloads {
 
   /** REAL-surrogate: WiFi-hotspot-like traces (proprietary-data stand-in). */
   def real(spark: SparkSession, cfg: RealConfig = RealConfig()): (SpIndex, DataFrame) = {
-    val sp = SpIndex.build(cfg.side, cfg.m, cfg.a, cfg.b)
+    val sp = SpIndex.build(cfg.side, DefaultM, DefaultA, DefaultB)
     val cells = TraceGen.realLike(spark, cfg.side, cfg.nEntities, cfg.horizon, seed = cfg.seed)
     (sp, cells)
   }

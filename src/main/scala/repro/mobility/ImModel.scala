@@ -7,7 +7,7 @@ import scala.collection.mutable
 import repro.spindex.SpIndex
 
 /** Parameters of the individual mobility (IM) model of §5.1 (after Song et
-  * al. [42]), plus simulation bounds.
+  * al. [42]), plus the simulated horizon.
   *
   * @param alpha   jump-displacement power-law exponent (Eq. 7)
   * @param beta    stay-duration power-law exponent (Eq. 5)
@@ -15,7 +15,6 @@ import repro.spindex.SpIndex
   * @param zeta    visit-frequency zipf exponent for returns (Eq. 8)
   * @param rho     exploration probability scale (Eq. 6)
   * @param horizon number of base temporal units simulated (e.g. hours)
-  * @param dtMax   cap on a single stay duration, in base temporal units
   */
 final case class ImParams(
     alpha: Double = 0.6,
@@ -24,7 +23,6 @@ final case class ImParams(
     zeta: Double = 1.2,
     rho: Double = 0.6,
     horizon: Int = 240,
-    dtMax: Int = 24,
 )
 
 /** One stay of an entity: `dt` consecutive base temporal units at `loc`
@@ -36,6 +34,9 @@ final case class Stay(t: Int, dt: Int, loc: Int)
   * `(seed, entity)` so Spark-side generation and driver-side tests agree.
   */
 object ImModel {
+
+  /** Cap on a single stay duration, in base temporal units. */
+  val DtMax = 24
 
   /** Draw from a discrete power law P(x) ∝ x^(-1-exp), x ∈ [1, max],
     * via inverse CDF of the continuous Pareto, floored.
@@ -84,7 +85,7 @@ object ImModel {
     while (t < p.horizon) {
       val loc = SpIndex.morton(x, y)
       visitCount(loc) = visitCount.getOrElse(loc, 0) + 1
-      val dt = paretoInt(rng, p.beta, p.dtMax)
+      val dt = paretoInt(rng, p.beta, DtMax)
       out += Stay(t, math.min(dt, p.horizon - t), loc)
       t += dt
       // Jump: explore with probability rho * S^(-gamma) (Eq. 6), else

@@ -134,6 +134,9 @@ object TraceGen {
     out.toArray
   }
 
+  /** Companion-group size of SYN traces. */
+  val GroupSize = 8
+
   /** SYN: detection-sampled traces from the hierarchical IM model. */
   def syn(
       spark: SparkSession,
@@ -141,7 +144,6 @@ object TraceGen {
       nEntities: Long,
       p: ImParams,
       seed: Long,
-      groupSize: Int = 8,
   ): DataFrame = {
     import spark.implicits._
     spark
@@ -149,41 +151,45 @@ object TraceGen {
       .as[Long]
       .mapPartitions { ids =>
         ids.flatMap { e =>
-          cellsFor(e, side, p, seed, groupSize).iterator.map { case (t, loc) => (e, t, loc) }
+          cellsFor(e, side, p, seed, GroupSize).iterator.map { case (t, loc) => (e, t, loc) }
         }
       }
       .toDF("entity", "t", "loc")
   }
 
   /** Driver-side (no Spark) SYN cells per entity, for fast unit tests. */
-  def synLocal(side: Int, nEntities: Int, p: ImParams, seed: Long, groupSize: Int = 8): Map[Long, Array[(Int, Int)]] =
+  def synLocal(side: Int, nEntities: Int, p: ImParams, seed: Long,
+      groupSize: Int = GroupSize): Map[Long, Array[(Int, Int)]] =
     (0L until nEntities).map(e => e -> cellsFor(e, side, p, seed, groupSize)).toMap
+
+  // REAL-surrogate settings, described at `realLike`.
+  val RealSessions = 30
+  val RealPHome = 0.6
+  val RealZipfExp = 1.0
+  val RealBeta = 0.8
+  val RealDtMax = 12
 
   /** REAL-surrogate: WiFi-hotspot-like traces (see DESIGN.md §3).
     *
-    * Hotspot popularity is zipf with exponent `zipfExp` over a fixed random
+    * Hotspot popularity is zipf (exponent `RealZipfExp`) over a fixed random
     * permutation of base units; entities come in device *pairs* (same
-    * owner): both share a home hotspot and the even-id device's sessions,
-    * the odd-id device drops half of them and adds its own; session
-    * durations are power-law (exponent `beta`).
+    * owner): both share a home hotspot and the even-id device's pool of
+    * `RealSessions` sessions (a `RealPHome` share at home), the odd-id
+    * device drops half of them and adds its own; session durations are
+    * power-law (exponent `RealBeta`, at most `RealDtMax`).
     */
   def realLike(
       spark: SparkSession,
       side: Int,
       nEntities: Long,
       horizon: Int,
-      nSessions: Int = 30,
-      pHome: Double = 0.6,
-      zipfExp: Double = 1.0,
-      beta: Double = 0.8,
-      dtMax: Int = 12,
       seed: Long = 7,
   ): DataFrame = {
     import spark.implicits._
     val nBase = side * side
     // Cumulative zipf weights over popularity ranks, broadcast once.
     val cum = {
-      val w = Array.tabulate(nBase)(i => math.pow(i + 1.0, -zipfExp))
+      val w = Array.tabulate(nBase)(i => math.pow(i + 1.0, -RealZipfExp))
       val c = new Array[Double](nBase)
       var s = 0.0
       var i = 0
@@ -215,10 +221,10 @@ object TraceGen {
           // sensing data). Nested shared coins make a pair's kept sets
           // coincide up to the smaller activity, so device pairs are
           // strongly associated.
-          val sessions = Array.fill(nSessions) {
-            val loc = if (rng.nextDouble() < pHome) home else popDraw()
+          val sessions = Array.fill(RealSessions) {
+            val loc = if (rng.nextDouble() < RealPHome) home else popDraw()
             val start = rng.nextInt(horizon)
-            val dt = ImModel.paretoInt(rng, beta, dtMax)
+            val dt = ImModel.paretoInt(rng, RealBeta, RealDtMax)
             (loc, start, dt)
           }
           val own = new SplittableRandom(mix(seed ^ 0xdee1ceL, e))
@@ -231,8 +237,8 @@ object TraceGen {
           // exact duplicates.
           val nOwnExtra = if (isSecond) math.max(1, picked.size / 4) else 0
           picked = picked ++ Seq.fill(nOwnExtra) {
-            val loc = if (own.nextDouble() < pHome) home else popDraw()
-            (loc, own.nextInt(horizon), ImModel.paretoInt(own, beta, dtMax))
+            val loc = if (own.nextDouble() < RealPHome) home else popDraw()
+            (loc, own.nextInt(horizon), ImModel.paretoInt(own, RealBeta, RealDtMax))
           }
           if (picked.isEmpty) picked = Seq(sessions(0))
           val seen = mutable.HashSet.empty[Long]

@@ -40,12 +40,16 @@ class BaselineSpec extends SparkSpec {
 
   test("baseline search is exact: degree sequence matches brute force") {
     val (_, store, idx, d) = setup(80, 503)
-    for (q <- Seq(0L, 5L, 17L, 33L); k <- Seq(1, 5, 10)) {
-      val expected = BruteForce.topK(store, d, q, k).map(_._2)
-      val got = ClusterBitmap.search(idx, store, d, q, k).hits.map(_._2)
-      assert(got.size == expected.size, s"q=$q k=$k")
-      got.zip(expected).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9, s"q=$q k=$k") }
-    }
+    // The last k exceeds |E|: every other entity is returned, zero degrees included.
+    for (q <- Seq(0L, 5L, 17L, 33L); k <- Seq(1, 5, 10, store.entities.size + 5))
+      ExactTopK.check(ClusterBitmap.search(idx, store, d, q, k).hits, store, d, q, k)
+  }
+
+  test("baseline search rejects k < 1 and an absent query") {
+    val (_, store, idx, d) = setup(20, 509)
+    intercept[IllegalArgumentException](ClusterBitmap.search(idx, store, d, 0L, 0))
+    val absent = intercept[IllegalArgumentException](ClusterBitmap.search(idx, store, d, 9999L, 1))
+    assert(absent.getMessage.contains("query entity 9999 has no trace"))
   }
 
   test("baseline never returns the query entity") {

@@ -147,7 +147,7 @@ class TopKSpec extends SparkSpec {
             assert(ub >= actual - 1e-9, s"q=$q leaf member $e: ub=$ub actual=$actual")
           }
         } else n.children.valuesIterator.foreach { c =>
-          val m2 = ctx.pruneMasks(masks, c, searcher.tree.pruneCoords)
+          val m2 = ctx.pruneMasks(masks, c)
           walk(c, m2, math.min(ub, ctx.upperBound(m2)))
         }
       }
@@ -162,7 +162,7 @@ class TopKSpec extends SparkSpec {
     val ctx = QueryContext(store, searcher.hasher, d, q)
     def walk(n: SigNode, masks: Array[Array[Boolean]], parentUb: Double): Unit = {
       n.children.valuesIterator.foreach { c =>
-        val m2 = ctx.pruneMasks(masks, c, searcher.tree.pruneCoords)
+        val m2 = ctx.pruneMasks(masks, c)
         val ub = ctx.upperBound(m2)
         assert(ub <= parentUb + 1e-12)
         walk(c, m2, math.min(parentUb, ub))

@@ -49,7 +49,7 @@ class MobilitySpec extends AnyFunSuite {
       assert(stays.head.t == 0)
       assert(stays.map(s => s.t + s.dt).last == p.horizon)
       stays.zip(stays.tail).foreach { case (a, b) => assert(a.t + a.dt == b.t) }
-      assert(stays.forall(s => s.dt >= 1 && s.dt <= p.dtMax))
+      assert(stays.forall(s => s.dt >= 1 && s.dt <= ImModel.DtMax))
     }
   }
 

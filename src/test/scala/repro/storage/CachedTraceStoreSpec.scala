@@ -71,11 +71,21 @@ class CachedTraceStoreSpec extends SparkSpec {
     val d = AdmMeasure(sp.m, 1, 1)
     val memSearch = new TopKSearcher(tree, mem, h, d)
     val cachedSearch = new TopKSearcher(tree, cached, h, d)
-    mem.entities.toSeq.sorted.take(5).foreach { q =>
-      val a = memSearch.search(q, 3).hits.map(_._2)
-      val b = cachedSearch.search(q, 3).hits.map(_._2)
-      a.zip(b).foreach { case (x, y) => assert(math.abs(x - y) < 1e-9, s"q=$q") }
+    // The last k exceeds |E|: every other entity is returned, zero degrees included.
+    for (q <- mem.entities.toSeq.sorted.take(5); k <- Seq(3, mem.entities.size + 5)) {
+      val a = memSearch.search(q, k).hits.map(_._2)
+      val b = cachedSearch.search(q, k)
+      a.zip(b.hits.map(_._2)).foreach { case (x, y) => assert(math.abs(x - y) < 1e-9, s"q=$q") }
+      ExactTopK.check(b.hits, mem, d, q, k)
     }
+  }
+
+  test("MinSigTree search over the cached store rejects an absent query") {
+    val (sp, mem, cached) = setup(capacity = 4)
+    val h = new AdditiveHasher(sp, 8, 704)
+    val tree = MinSigTree.fromCells(spark, cellsOf(mem), sp, h)
+    val search = new TopKSearcher(tree, cached, h, AdmMeasure(sp.m, 1, 1))
+    intercept[IllegalArgumentException](search.search(123456L, 1))
   }
 
   test("concurrent queries over a small cache return the sequential in-memory answers") {
