@@ -105,7 +105,7 @@ object ClusterBitmap {
         .count()
         .filter(_._2 >= minSupport)
         .map { case ((a, b), c) => (a, b, c) }
-        .orderBy($"_3".desc)
+        .orderBy($"_3".desc, $"_1", $"_2") // a total order, so the cut is repeatable
         .limit(MaxPairs)
         .collect()
 
@@ -126,9 +126,10 @@ object ClusterBitmap {
       pairs.iterator.flatMap(p => Iterator(p._1, p._2)).toSet[Long].foreach { c =>
         members.getOrElseUpdate(find(c), mutable.ArrayBuffer.empty) += c
       }
-      members.values.toSeq.sortBy(-_.size).take(nClusters).zipWithIndex.foreach {
-        case (cs, i) => cs.foreach(c => clusterMap(level - 1).put(c, i))
-      }
+      // Largest components first, ties by smallest cell: the union-find
+      // roots (and so the map order) depend on the pair order.
+      val largest = members.values.toSeq.sortBy(cs => (-cs.size, cs.min)).take(nClusters)
+      largest.zipWithIndex.foreach { case (cs, i) => cs.foreach(c => clusterMap(level - 1).put(c, i)) }
     }
 
     // Entity bit vectors, grouped by vector.
@@ -190,7 +191,11 @@ object ClusterBitmap {
       measure.degree(ov, ov, qSizes)
     }
 
-    val ordered = idx.groups.map { case (w, es) => (upperBound(w), es) }.sortBy(-_._1)
+    // Groups come in collect order; ties in UB go to the smallest entity id
+    // (each group's entities are sorted and disjoint from other groups').
+    val ordered = idx.groups
+      .map { case (w, es) => (upperBound(w), es) }
+      .sortBy { case (ub, es) => (-ub, es.head) }
     val best = mutable.ArrayBuffer.empty[(Long, Double)]
     def kth: Double = if (best.size < k) -1.0 else best(k - 1)._2
     var checked = 0

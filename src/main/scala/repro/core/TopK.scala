@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.{Comparator, PriorityQueue}
-
 import scala.collection.mutable
 
 import repro.spindex.SpIndex
@@ -22,8 +20,8 @@ final case class TopKResult(hits: Seq[(Long, Double)], checked: Int, nodesVisite
 }
 
 /** Per-query state of the best-first search: the query's per-level cells,
-  * their per-level hashes, and the mask-based partial-pruned-set upper
-  * bound of Theorem 4.1 / §4.1.
+  * per-query sorted-hash prefix tables over them, and the mask-based
+  * partial-pruned-set upper bound of Theorem 4.1 / §4.1.
   *
   * Soundness of the pruning rule (see also Theorems 3.1/3.2): at a node N
   * of level `j` with routing index `r` and stored value `V = min over
@@ -38,6 +36,30 @@ final case class TopKResult(hits: Seq[(Long, Double)], checked: Int, nodesVisite
   * The artificial entity e_v of Theorem 4.1 then has per-level overlaps
   * equal to the surviving-cell counts, and
   * `UB_N = degree(ov = surv, sa = surv, sb = |seq_q|)`.
+  *
+  * A mask is one `Array[Long]` bitset over the query cells of every level:
+  * bit `c` of level `l` (cell `qLevel(l-1)(c)`) is bit `c & 63` of word
+  * `wordOffset(l-1) + (c >>> 6)`. A level with `C` cells has
+  * `W = max(1, ⌈C/64⌉)` words.
+  *
+  * Why a coordinate's pruned set is a prefix: for one coordinate `u` the
+  * cells a node prunes are those with `h_u(c) < V`. With the level's cells
+  * sorted by `h_u`, these are exactly the first `pos` ranks, where `pos` is
+  * the number of hashes below `V` (a binary search). Cells of equal hash are
+  * all below `V` or all at or above it, so the order among ties is
+  * irrelevant.
+  *
+  * Tables, per level with `C` cells and `W` words, each flattened over the
+  * `n_h` coordinates (`u`-major):
+  *  - `sortedHash`: the `C` values `h_u(c)` in ascending order (`Int`);
+  *  - `rankCell`: the cell at each rank, i.e. the sort permutation (`Int`);
+  *  - `prefix`: a bitset of the ranks below `j·W` for every checkpoint
+  *    `j = 0 .. ⌊C/W⌋` (`⌊C/W⌋+1` checkpoints of `W` words).
+  * Pruning `(u, V)` clears checkpoint `⌊pos/W⌋` with AND-NOT and then the
+  * fewer than `W` ranks left up to `pos` from the permutation: O(log C + W)
+  * per coordinate. The checkpoints hold about `C + W` longs, so a level
+  * costs about `n_h·(C + W)` longs plus `2·n_h·C` ints, linear in `C`; for
+  * `C ≤ 64` (`W = 1`) the checkpoints are a full prefix table.
   */
 final class QueryContext(
     val sp: SpIndex,
@@ -47,56 +69,132 @@ final class QueryContext(
 ) {
   val qSizes: Array[Int] = qLevel.map(_.length)
 
-  /** qHash(l-1)(cellIdx)(u) = h_u^l of the query's level-l cell. */
-  val qHash: Array[Array[Array[Int]]] =
-    Array.tabulate(sp.m) { li =>
-      qLevel(li).map { c =>
-        Array.tabulate(hasher.nh)(u => hasher.unit(u, li + 1, Cells.timeOf(c), Cells.unitOf(c)))
-      }
-    }
+  private val words: Array[Int] = qSizes.map(c => math.max(1, (c + 63) >>> 6))
+  // Words of one coordinate's checkpoints: ⌊C/W⌋+1 checkpoints of W words.
+  private val checkpointWords: Array[Int] =
+    Array.tabulate(sp.m)(li => (qSizes(li) / words(li) + 1) * words(li))
 
-  def freshMasks(): Array[Array[Boolean]] =
-    Array.tabulate(sp.m)(li => Array.fill(qLevel(li).length)(true))
+  /** Level `l`'s words in a mask are `wordOffset(l-1) until wordOffset(l)`. */
+  val wordOffset: Array[Int] = words.scanLeft(0)(_ + _)
 
-  /** Child masks after applying a node's pruned set: levels below the
-    * node's are shared (never modified deeper), levels ≥ are copied and
-    * pruned. A cell is pruned when ANY of the node's `topCoords` certifies
-    * absence (Theorem 3.2 over each coordinate).
-    */
-  def pruneMasks(parent: Array[Array[Boolean]], node: SigNode): Array[Array[Boolean]] = {
-    val coords = node.topCoords
-    val out = new Array[Array[Boolean]](sp.m)
+  private val sortedHash = new Array[Array[Int]](sp.m)
+  private val rankCell = new Array[Array[Int]](sp.m)
+  private val prefix = new Array[Array[Long]](sp.m)
+
+  locally {
+    val nh = hasher.nh
     var li = 0
-    while (li < node.level - 1) { out(li) = parent(li); li += 1 }
     while (li < sp.m) {
-      val src = parent(li)
-      val dst = new Array[Boolean](src.length)
-      var c = 0
-      while (c < src.length) {
-        var keep = src(c)
-        if (keep) {
-          val h = qHash(li)(c)
-          var i = 0
-          while (keep && i < coords.length) {
-            if (h(coords(i)) < coords(i + 1)) keep = false
-            i += 2
-          }
-        }
-        dst(c) = keep
-        c += 1
+      val cells = qLevel(li)
+      val c = cells.length
+      val w = words(li)
+      val cpWords = checkpointWords(li)
+      val hash = cells.map { cell =>
+        Array.tabulate(nh)(u => hasher.unit(u, li + 1, Cells.timeOf(cell), Cells.unitOf(cell)))
       }
-      out(li) = dst
+      val hs = new Array[Int](nh * c)
+      val rc = new Array[Int](nh * c)
+      val px = new Array[Long](nh * cpWords)
+      val keys = new Array[Long](c)
+      var u = 0
+      while (u < nh) {
+        var i = 0
+        while (i < c) { keys(i) = (hash(i)(u).toLong << 32) | i; i += 1 }
+        java.util.Arrays.sort(keys)
+        val base = u * c
+        i = 0
+        while (i < c) {
+          hs(base + i) = (keys(i) >> 32).toInt
+          rc(base + i) = keys(i).toInt
+          i += 1
+        }
+        // Checkpoint j is checkpoint j-1 plus the ranks [(j-1)·W, j·W).
+        val cp = u * cpWords
+        var j = w
+        while (j < cpWords) {
+          System.arraycopy(px, cp + j - w, px, cp + j, w)
+          var r = j - w
+          while (r < j) { val cell = rc(base + r); px(cp + j + (cell >>> 6)) |= 1L << cell; r += 1 }
+          j += w
+        }
+        u += 1
+      }
+      sortedHash(li) = hs
+      rankCell(li) = rc
+      prefix(li) = px
+      li += 1
+    }
+  }
+
+  /** The root's mask: every query cell of every level survives. */
+  def freshMasks(): Array[Long] = {
+    val out = new Array[Long](wordOffset(sp.m))
+    var li = 0
+    while (li < sp.m) {
+      val full = qSizes(li) >>> 6
+      java.util.Arrays.fill(out, wordOffset(li), wordOffset(li) + full, -1L)
+      if ((qSizes(li) & 63) != 0) out(wordOffset(li) + full) = (1L << qSizes(li)) - 1
       li += 1
     }
     out
   }
 
-  def upperBound(masks: Array[Array[Boolean]]): Double = {
+  /** Child mask after applying a node's pruned set: levels below the
+    * node's are copied unchanged, levels ≥ lose every cell that ANY of the
+    * node's `topCoords` certifies absent (Theorem 3.2 over each
+    * coordinate). A level stops once none of its cells survive.
+    */
+  def pruneMasks(parent: Array[Long], node: SigNode): Array[Long] = {
+    val coords = node.topCoords
+    val out = parent.clone()
+    var li = node.level - 1
+    while (li < sp.m) {
+      val c = qSizes(li)
+      val w = words(li)
+      val off = wordOffset(li)
+      val cpWords = checkpointWords(li)
+      val hs = sortedHash(li)
+      val rc = rankCell(li)
+      val px = prefix(li)
+      var live = anySet(out, off, w)
+      var i = 0
+      while (live && i < coords.length) {
+        val base = coords(i) * c
+        val v = coords(i + 1)
+        // pos = number of cells with h_u < V: the pruned prefix.
+        var lo = 0
+        var hi = c
+        while (lo < hi) {
+          val mid = (lo + hi) >>> 1
+          if (hs(base + mid) < v) lo = mid + 1 else hi = mid
+        }
+        if (lo > 0) {
+          val cp = coords(i) * cpWords + lo / w * w
+          var k = 0
+          while (k < w) { out(off + k) &= ~px(cp + k); k += 1 }
+          var r = lo / w * w
+          while (r < lo) { val cell = rc(base + r); out(off + (cell >>> 6)) &= ~(1L << cell); r += 1 }
+          live = anySet(out, off, w)
+        }
+        i += 2
+      }
+      li += 1
+    }
+    out
+  }
+
+  private def anySet(mask: Array[Long], off: Int, w: Int): Boolean = {
+    var k = 0
+    while (k < w && mask(off + k) == 0L) k += 1
+    k < w
+  }
+
+  def upperBound(mask: Array[Long]): Double = {
     val surv = new Array[Int](sp.m)
     var li = 0
     while (li < sp.m) {
-      var c = 0
-      while (c < masks(li).length) { if (masks(li)(c)) surv(li) += 1; c += 1 }
+      var k = wordOffset(li)
+      while (k < wordOffset(li + 1)) { surv(li) += java.lang.Long.bitCount(mask(k)); k += 1 }
       li += 1
     }
     measure.degree(surv, surv, qSizes)
@@ -121,6 +219,78 @@ private[core] trait LeafStep {
   def flush(emit: (Long, Double) => Unit): Unit = ()
 }
 
+/** The best-first candidate queue: a binary max-heap on upper bounds held
+  * in parallel primitive arrays (`ub`, `slot`), each slot naming a node and
+  * its mask. It sifts by the rules of `java.util.PriorityQueue`, comparing
+  * with `java.lang.Double.compare`, so candidates pop in that queue's order,
+  * ties included.
+  */
+private final class CandHeap {
+  private var ub = new Array[Double](64)
+  private var slot = new Array[Int](64)
+  private var size = 0
+  private var nodes = new Array[SigNode](64)
+  private var masks = new Array[Array[Long]](64)
+  private var slots = 0
+
+  def isEmpty: Boolean = size == 0
+
+  def add(node: SigNode, mask: Array[Long], bound: Double): Unit = {
+    if (slots == nodes.length) {
+      nodes = java.util.Arrays.copyOf(nodes, 2 * slots)
+      masks = java.util.Arrays.copyOf(masks, 2 * slots)
+    }
+    nodes(slots) = node
+    masks(slots) = mask
+    if (size == ub.length) {
+      ub = java.util.Arrays.copyOf(ub, 2 * size)
+      slot = java.util.Arrays.copyOf(slot, 2 * size)
+    }
+    var k = size
+    var moving = true
+    while (moving && k > 0) {
+      val p = (k - 1) >>> 1
+      if (java.lang.Double.compare(ub(p), bound) >= 0) moving = false
+      else { ub(k) = ub(p); slot(k) = slot(p); k = p }
+    }
+    ub(k) = bound
+    slot(k) = slots
+    size += 1
+    slots += 1
+  }
+
+  /** Upper bound of the head. */
+  def headBound: Double = ub(0)
+
+  /** Removes the head and returns its slot. */
+  def poll(): Int = {
+    val head = slot(0)
+    size -= 1
+    val xUb = ub(size)
+    val xSlot = slot(size)
+    var k = 0
+    var moving = size > 0
+    val half = size >>> 1
+    while (moving && k < half) {
+      var child = 2 * k + 1
+      if (child + 1 < size && java.lang.Double.compare(ub(child + 1), ub(child)) > 0) child += 1
+      if (java.lang.Double.compare(ub(child), xUb) <= 0) moving = false
+      else { ub(k) = ub(child); slot(k) = slot(child); k = child }
+    }
+    if (size > 0) { ub(k) = xUb; slot(k) = xSlot }
+    head
+  }
+
+  def node(s: Int): SigNode = nodes(s)
+
+  /** The slot's mask; the heap drops its reference. */
+  def takeMask(s: Int): Array[Long] = {
+    val m = masks(s)
+    masks(s) = null
+    m
+  }
+}
+
 /** Best-first top-k search over the MinSigTree (Algorithm 2, §4.2), shared
   * by the driver and Spark paths: candidate queue, mask pruning, upper
   * bounds, the k-best result and early termination. Only the leaf step
@@ -130,8 +300,6 @@ private[core] object BestFirst {
 
   def search(tree: MinSigTree, ctx: QueryContext, k: Int, step: LeafStep): TopKResult = {
     require(k >= 1)
-
-    final class Cand(val node: SigNode, val masks: Array[Array[Boolean]], val ub: Double)
 
     // Result: weakest of the current top-k on top, so eviction is O(log k);
     // ties broken by entity id for determinism.
@@ -148,27 +316,26 @@ private[core] object BestFirst {
       }
     }
 
-    val cands = new PriorityQueue[Cand](new Comparator[Cand] {
-      def compare(a: Cand, b: Cand): Int = java.lang.Double.compare(b.ub, a.ub)
-    })
-    cands.add(new Cand(tree.root, ctx.freshMasks(), 1.0))
+    val cands = new CandHeap
+    cands.add(tree.root, ctx.freshMasks(), 1.0)
     var visited = 0
     var done = false
 
     while (!done && !cands.isEmpty) {
-      val cand = cands.poll()
+      val candUb = cands.headBound
+      val s = cands.poll()
       visited += 1
-      val node = cand.node
+      val node = cands.node(s)
+      val mask = cands.takeMask(s)
       // Early termination (Lines 4-5): the k-th best exact degree already
       // dominates every remaining upper bound.
-      if (result.size == k && kthDegree >= cand.ub) done = true
+      if (result.size == k && kthDegree >= candUb) done = true
       else if (node.isLeaf) step.take(node, emit)
       else {
         node.children.valuesIterator.foreach { child =>
-          val masks = ctx.pruneMasks(cand.masks, child)
-          val ub = math.min(cand.ub, ctx.upperBound(masks))
-          if (result.size < k || ub > kthDegree)
-            cands.add(new Cand(child, masks, ub))
+          val childMask = ctx.pruneMasks(mask, child)
+          val ub = math.min(candUb, ctx.upperBound(childMask))
+          if (result.size < k || ub > kthDegree) cands.add(child, childMask, ub)
         }
       }
     }

@@ -84,6 +84,32 @@ class BaselineSpec extends SparkSpec {
     }
   }
 
+  test("build is repeatable: repartitioned inputs give the same index and answers") {
+    // At this size pair counts and component sizes tie often enough that a
+    // build order taken from Spark's task completion differs between builds.
+    val sp = SpIndex.build(64, 4, 2.0, 2.0)
+    val cells = TraceGen.syn(spark, 64, 2000, repro.mobility.ImParams(horizon = 240), 510).cache()
+    val store = TraceStore.fromCells(spark, cells, sp)
+    val d = AdmMeasure(sp.m, 1, 1)
+    def groups(idx: ClusterBitmapIndex) =
+      idx.groups.map { case (w, es) => (w.toSeq, es.toSeq) }.sortBy(_._2.head)
+    val a = ClusterBitmap.build(spark, cells, sp, nClusters = 64, minSupport = 2)
+    val queries = store.entities.toSeq.sorted.take(10)
+    for (parts <- Seq(7, 3, 5)) {
+      val b = ClusterBitmap.build(spark, cells.repartition(parts), sp, nClusters = 64,
+        minSupport = 2)
+      for (e <- store.entities; l <- 1 to sp.m; c <- store.levelCells(e, l))
+        assert(a.clusterOf(l, c) == b.clusterOf(l, c), s"$parts partitions: level $l cell $c")
+      assert(groups(a) == groups(b), s"$parts partitions")
+      for (q <- queries; k <- Seq(1, 10)) {
+        val ra = ClusterBitmap.search(a, store, d, q, k)
+        val rb = ClusterBitmap.search(b, store, d, q, k)
+        assert(ra.hits == rb.hits && ra.checked == rb.checked, s"$parts partitions: q=$q k=$k")
+      }
+    }
+    cells.unpersist()
+  }
+
   test("hashCluster is deterministic and in range") {
     (0L until 1000L).foreach { c =>
       val x = ClusterBitmap.hashCluster(c, 16)

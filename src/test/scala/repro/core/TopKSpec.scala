@@ -135,12 +135,18 @@ class TopKSpec extends SparkSpec {
     intercept[IllegalArgumentException](searcher.search(9999L, 1))
   }
 
+  // Queries of a 200-hour horizon have more than 64 cells per level, so
+  // masks span several words and the checkpoint remainder path runs.
+  private def theoremSetups(seed: Long): Seq[(TraceStore, TopKSearcher, Measure)] = Seq(
+    randomSetup(120, 8, seed, sp => AdmMeasure(sp.m, 1, 1)),
+    randomSetup(60, 8, seed, sp => AdmMeasure(sp.m, 1, 1), horizon = 200),
+  )
+
   test("Theorem 4.1: every leaf upper bound dominates its members' true degrees") {
-    val (store, searcher, d) = randomSetup(120, 8, 309, sp => AdmMeasure(sp.m, 1, 1))
-    val sp = store.sp
-    for (q <- store.entities.toSeq.sorted.take(5)) {
+    for ((store, searcher, d) <- theoremSetups(309); q <- store.entities.toSeq.sorted.take(5)) {
+      val sp = store.sp
       val ctx = QueryContext(store, searcher.hasher, d, q)
-      def walk(n: SigNode, masks: Array[Array[Boolean]], ub: Double): Unit = {
+      def walk(n: SigNode, masks: Array[Long], ub: Double): Unit = {
         if (n.isLeaf) {
           n.entities.filter(_ != q).foreach { e =>
             val actual = store.degree(d, e, q)
@@ -157,18 +163,122 @@ class TopKSpec extends SparkSpec {
   }
 
   test("upper bounds tighten monotonically down every path (Theorem 3.3 corollary)") {
-    val (store, searcher, d) = randomSetup(120, 8, 310, sp => AdmMeasure(sp.m, 1, 1))
-    val q = store.entities.toSeq.min
-    val ctx = QueryContext(store, searcher.hasher, d, q)
-    def walk(n: SigNode, masks: Array[Array[Boolean]], parentUb: Double): Unit = {
-      n.children.valuesIterator.foreach { c =>
-        val m2 = ctx.pruneMasks(masks, c)
-        val ub = ctx.upperBound(m2)
-        assert(ub <= parentUb + 1e-12)
-        walk(c, m2, math.min(parentUb, ub))
+    for ((store, searcher, d) <- theoremSetups(310)) {
+      val q = store.entities.toSeq.min
+      val ctx = QueryContext(store, searcher.hasher, d, q)
+      def walk(n: SigNode, masks: Array[Long], parentUb: Double): Unit = {
+        n.children.valuesIterator.foreach { c =>
+          val m2 = ctx.pruneMasks(masks, c)
+          val ub = ctx.upperBound(m2)
+          assert(ub <= parentUb + 1e-12)
+          walk(c, m2, math.min(parentUb, ub))
+        }
+      }
+      walk(searcher.tree.root, ctx.freshMasks(), 1.0)
+    }
+  }
+
+  /** The per-cell pruning rule, applied cell by cell: level-`l` cell `c`
+    * survives a node iff it survived the parent and, when `l ≥ node.level`,
+    * no top coordinate `(u, V)` of the node has `h_u^l(c) < V`.
+    */
+  private def referencePrune(
+      ctx: QueryContext,
+      parent: Array[Array[Boolean]],
+      node: SigNode,
+  ): Array[Array[Boolean]] = {
+    val coords = node.topCoords
+    Array.tabulate(ctx.sp.m) { li =>
+      Array.tabulate(ctx.qSizes(li)) { c =>
+        val cell = ctx.qLevel(li)(c)
+        parent(li)(c) && (li < node.level - 1 || coords.grouped(2).forall { case Array(u, v) =>
+          ctx.hasher.unit(u, li + 1, Cells.timeOf(cell), Cells.unitOf(cell)) >= v
+        })
       }
     }
-    walk(searcher.tree.root, ctx.freshMasks(), 1.0)
+  }
+
+  /** The cells a bitset mask keeps, per level; bits past a level's cells must be clear. */
+  private def maskCells(ctx: QueryContext, mask: Array[Long]): Array[Array[Boolean]] = {
+    assert(mask.length == ctx.wordOffset(ctx.sp.m))
+    Array.tabulate(ctx.sp.m) { li =>
+      val off = ctx.wordOffset(li)
+      def bit(c: Int): Boolean = (mask(off + (c >>> 6)) >>> (c & 63) & 1L) == 1L
+      for (c <- ctx.qSizes(li) until 64 * (ctx.wordOffset(li + 1) - off))
+        assert(!bit(c), s"level ${li + 1} bit $c")
+      Array.tabulate(ctx.qSizes(li))(bit)
+    }
+  }
+
+  /** Prices `node` under both kernels and checks survivors and bound. */
+  private def checkPricing(
+      ctx: QueryContext,
+      mask: Array[Long],
+      ref: Array[Array[Boolean]],
+      node: SigNode,
+  ): (Array[Long], Array[Array[Boolean]]) = {
+    val m2 = ctx.pruneMasks(mask, node)
+    val ref2 = referencePrune(ctx, ref, node)
+    val got = maskCells(ctx, m2)
+    for (li <- 0 until ctx.sp.m)
+      assert(got(li).sameElements(ref2(li)), s"level ${li + 1} of a level-${node.level} node")
+    val surv = ref2.map(_.count(identity))
+    val expected = ctx.measure.degree(surv, surv, ctx.qSizes)
+    assert(java.lang.Double.doubleToRawLongBits(ctx.upperBound(m2)) ==
+      java.lang.Double.doubleToRawLongBits(expected))
+    (m2, ref2)
+  }
+
+  test("bitset pricing keeps exactly the cells the per-cell rule keeps") {
+    // Every priced path of real trees, one- and several-word levels.
+    for ((store, searcher, _) <- theoremSetups(316); q <- store.entities.toSeq.sorted.take(3)) {
+      val ctx = QueryContext(store, searcher.hasher, searcher.measure, q)
+      def walk(n: SigNode, mask: Array[Long], ref: Array[Array[Boolean]]): Unit =
+        n.children.valuesIterator.foreach { c =>
+          val (m2, ref2) = checkPricing(ctx, mask, ref, c)
+          walk(c, m2, ref2)
+        }
+      walk(searcher.tree.root, ctx.freshMasks(), ctx.qSizes.map(Array.fill(_)(true)))
+    }
+
+    // Synthetic queries with cell counts around the word edges, and node
+    // chains with a few pruning coordinates each: a value equal to the hash
+    // at a random rank of the level's sorted query hashes (a tie), or one
+    // above or below it, or larger than all of them; every other coordinate
+    // is 0 and prunes nothing. n_h is below and above the 64 top coordinates.
+    val sp = SpIndex.build(16, 3, 2.0, 1.0)
+    val rng = new scala.util.Random(317)
+    val counts = Seq(1, 63, 64, 65, 128, 129)
+    for (nh <- Seq(8, 100); shift <- counts.indices) {
+      val hasher = new AdditiveHasher(sp, nh, 318 + nh)
+      val qLevel = Array.tabulate(sp.m) { li =>
+        val n = counts((shift + li) % counts.size)
+        rng.shuffle((0 until 400).toVector).take(n)
+          .map(t => Cells.encode(t, rng.nextInt(sp.widths(li)))).sorted.toArray
+      }
+      val ctx = new QueryContext(sp, hasher, AdmMeasure(sp.m, 1, 1), qLevel)
+      val sortedHashes = Array.tabulate(sp.m, nh) { (li, u) =>
+        qLevel(li).map(c => hasher.unit(u, li + 1, Cells.timeOf(c), Cells.unitOf(c))).sorted
+      }
+      for (_ <- 0 until 40) {
+        var mask = ctx.freshMasks()
+        var ref = ctx.qSizes.map(Array.fill(_)(true))
+        for (level <- 1 to sp.m) {
+          val values = new Array[Int](nh)
+          for (_ <- 0 to rng.nextInt(4)) {
+            val u = rng.nextInt(nh)
+            val hs = sortedHashes(level - 1 + rng.nextInt(sp.m - level + 1))(u)
+            val rank = rng.nextInt(hs.length + 1)
+            values(u) = if (rank == hs.length) Int.MaxValue else hs(rank) + rng.nextInt(3) - 1
+          }
+          val node = new SigNode(level, 0)
+          node.merge(values, 0, nh)
+          val (m2, ref2) = checkPricing(ctx, mask, ref, node)
+          mask = m2
+          ref = ref2
+        }
+      }
+    }
   }
 
   test("exactness is preserved after incremental updates (§3.2.3)") {
