@@ -32,14 +32,18 @@ object BruteForce {
     * by (degree desc, entity asc), query excluded. Zero-degree entities
     * included so rankings are total.
     */
-  def rankAll(store: TraceStore, measure: Measure, q: Long): IndexedSeq[(Long, Double)] =
+  def rankAll(store: TraceStore, measure: Measure, q: Long): IndexedSeq[(Long, Double)] = {
+    require(store.contains(q), s"query entity $q has no trace")
     store.entities.iterator
       .filter(_ != q)
       .map(e => (e, store.degree(measure, e, q)))
       .toIndexedSeq
       .sortBy { case (e, d) => (-d, e) }
+  }
 
   /** Driver top-k. */
-  def topK(store: TraceStore, measure: Measure, q: Long, k: Int): Seq[(Long, Double)] =
+  def topK(store: TraceStore, measure: Measure, q: Long, k: Int): Seq[(Long, Double)] = {
+    require(k >= 1)
     rankAll(store, measure, q).take(k)
+  }
 }

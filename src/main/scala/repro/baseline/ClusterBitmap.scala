@@ -1,5 +1,7 @@
 package repro.baseline
 
+import java.util.{HashMap => JHashMap}
+
 import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
@@ -27,7 +29,7 @@ import repro.spindex.SpIndex
 final class ClusterBitmapIndex(
     val sp: SpIndex,
     val nClusters: Int,
-    clusterMap: Array[java.util.HashMap[java.lang.Long, Integer]], // per level
+    clusterMap: Array[JHashMap[java.lang.Long, Integer]], // per level
     val groups: IndexedSeq[(Array[Long], Array[Long])], // (bit words, entities)
 ) extends Serializable {
 
@@ -37,11 +39,8 @@ final class ClusterBitmapIndex(
     * clusters by locality, and this is exactly why its bit vectors lose
     * temporal resolution and its upper bounds are loose.
     */
-  def clusterOf(level: Int, cell: Long): Int = {
-    val c = clusterMap(level - 1).get(cell)
-    if (c != null) c.intValue
-    else ClusterBitmap.hashCluster(repro.core.Cells.unitOf(cell).toLong, nClusters)
-  }
+  def clusterOf(level: Int, cell: Long): Int =
+    ClusterBitmap.clusterOf(clusterMap(level - 1), cell, nClusters)
 
   /** Global bit position of (level, cluster). */
   def bitOf(level: Int, cluster: Int): Int = (level - 1) * nClusters + cluster
@@ -56,6 +55,12 @@ object ClusterBitmap {
     var z = cell * 0x9e3779b97f4a7c15L
     z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
     (((z % n) + n) % n).toInt
+  }
+
+  /** A cell's cluster: its mined one, else `hashCluster` of its spatial unit. */
+  private[baseline] def clusterOf(mined: JHashMap[java.lang.Long, Integer], cell: Long, n: Int): Int = {
+    val c = mined.get(cell)
+    if (c != null) c.intValue else hashCluster(Cells.unitOf(cell).toLong, n)
   }
 
   // Pair mining: cells kept per transaction (sampled when longer), the
@@ -85,7 +90,7 @@ object ClusterBitmap {
       }
       .persist()
 
-    val clusterMap = Array.fill(sp.m)(new java.util.HashMap[java.lang.Long, Integer])
+    val clusterMap = Array.fill(sp.m)(new JHashMap[java.lang.Long, Integer])
     for (level <- 1 to sp.m) {
       // Frequent co-occurring cell pairs at this level, sampled per
       // transaction to bound the quadratic blowup.
@@ -140,11 +145,7 @@ object ClusterBitmap {
       .map { case (e, byLevel) =>
         val words = new Array[Long](nWords)
         for (level <- 1 to byLevel.length; cell <- byLevel(level - 1)) {
-          val cObj = bcMaps.value(level - 1).get(cell)
-          val cl =
-            if (cObj != null) cObj.intValue
-            else hashCluster(Cells.unitOf(cell).toLong, nClusters)
-          val bit = (level - 1) * nClusters + cl
+          val bit = (level - 1) * nClusters + clusterOf(bcMaps.value(level - 1), cell, nClusters)
           words(bit >> 6) |= 1L << (bit & 63)
         }
         (words.mkString(","), words, e)

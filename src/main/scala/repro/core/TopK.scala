@@ -219,84 +219,16 @@ private[core] trait LeafStep {
   def flush(emit: (Long, Double) => Unit): Unit = ()
 }
 
-/** The best-first candidate queue: a binary max-heap on upper bounds held
-  * in parallel primitive arrays (`ub`, `slot`), each slot naming a node and
-  * its mask. It sifts by the rules of `java.util.PriorityQueue`, comparing
-  * with `java.lang.Double.compare`, so candidates pop in that queue's order,
-  * ties included.
-  */
-private final class CandHeap {
-  private var ub = new Array[Double](64)
-  private var slot = new Array[Int](64)
-  private var size = 0
-  private var nodes = new Array[SigNode](64)
-  private var masks = new Array[Array[Long]](64)
-  private var slots = 0
-
-  def isEmpty: Boolean = size == 0
-
-  def add(node: SigNode, mask: Array[Long], bound: Double): Unit = {
-    if (slots == nodes.length) {
-      nodes = java.util.Arrays.copyOf(nodes, 2 * slots)
-      masks = java.util.Arrays.copyOf(masks, 2 * slots)
-    }
-    nodes(slots) = node
-    masks(slots) = mask
-    if (size == ub.length) {
-      ub = java.util.Arrays.copyOf(ub, 2 * size)
-      slot = java.util.Arrays.copyOf(slot, 2 * size)
-    }
-    var k = size
-    var moving = true
-    while (moving && k > 0) {
-      val p = (k - 1) >>> 1
-      if (java.lang.Double.compare(ub(p), bound) >= 0) moving = false
-      else { ub(k) = ub(p); slot(k) = slot(p); k = p }
-    }
-    ub(k) = bound
-    slot(k) = slots
-    size += 1
-    slots += 1
-  }
-
-  /** Upper bound of the head. */
-  def headBound: Double = ub(0)
-
-  /** Removes the head and returns its slot. */
-  def poll(): Int = {
-    val head = slot(0)
-    size -= 1
-    val xUb = ub(size)
-    val xSlot = slot(size)
-    var k = 0
-    var moving = size > 0
-    val half = size >>> 1
-    while (moving && k < half) {
-      var child = 2 * k + 1
-      if (child + 1 < size && java.lang.Double.compare(ub(child + 1), ub(child)) > 0) child += 1
-      if (java.lang.Double.compare(ub(child), xUb) <= 0) moving = false
-      else { ub(k) = ub(child); slot(k) = slot(child); k = child }
-    }
-    if (size > 0) { ub(k) = xUb; slot(k) = xSlot }
-    head
-  }
-
-  def node(s: Int): SigNode = nodes(s)
-
-  /** The slot's mask; the heap drops its reference. */
-  def takeMask(s: Int): Array[Long] = {
-    val m = masks(s)
-    masks(s) = null
-    m
-  }
-}
-
 /** Best-first top-k search over the MinSigTree (Algorithm 2, §4.2), shared
   * by the driver and Spark paths: candidate queue, mask pruning, upper
   * bounds, the k-best result and early termination. Only the leaf step
-  * differs between the paths.
+  * differs between the paths. The candidate queue is the JDK's
+  * `PriorityQueue`, highest upper bound first by `java.lang.Double.compare`.
   */
 private[core] object BestFirst {
+
+  /** A queued node with its surviving-cell mask and upper bound. */
+  private final class Cand(val node: SigNode, val mask: Array[Long], val ub: Double)
 
   def search(tree: MinSigTree, ctx: QueryContext, k: Int, step: LeafStep): TopKResult = {
     require(k >= 1)
@@ -316,26 +248,23 @@ private[core] object BestFirst {
       }
     }
 
-    val cands = new CandHeap
-    cands.add(tree.root, ctx.freshMasks(), 1.0)
+    val cands = new java.util.PriorityQueue[Cand]((a, b) => java.lang.Double.compare(b.ub, a.ub))
+    cands.add(new Cand(tree.root, ctx.freshMasks(), 1.0))
     var visited = 0
     var done = false
 
     while (!done && !cands.isEmpty) {
-      val candUb = cands.headBound
-      val s = cands.poll()
+      val cand = cands.poll()
       visited += 1
-      val node = cands.node(s)
-      val mask = cands.takeMask(s)
       // Early termination (Lines 4-5): the k-th best exact degree already
       // dominates every remaining upper bound.
-      if (result.size == k && kthDegree >= candUb) done = true
-      else if (node.isLeaf) step.take(node, emit)
+      if (result.size == k && kthDegree >= cand.ub) done = true
+      else if (cand.node.isLeaf) step.take(cand.node, emit)
       else {
-        node.children.valuesIterator.foreach { child =>
-          val childMask = ctx.pruneMasks(mask, child)
-          val ub = math.min(candUb, ctx.upperBound(childMask))
-          if (result.size < k || ub > kthDegree) cands.add(child, childMask, ub)
+        cand.node.children.valuesIterator.foreach { child =>
+          val childMask = ctx.pruneMasks(cand.mask, child)
+          val ub = math.min(cand.ub, ctx.upperBound(childMask))
+          if (result.size < k || ub > kthDegree) cands.add(new Cand(child, childMask, ub))
         }
       }
     }

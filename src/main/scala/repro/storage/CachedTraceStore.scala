@@ -19,9 +19,9 @@ import repro.spindex.SpIndex
   *    paper's MinSigTree order, so a leaf's members are not adjacent on
   *    disk; misses are read from it on the driver;
   *  - a bounded LRU cache of decoded traces (the allocated memory);
-  *  - a simulated device latency charged per miss batch (seek) and per
-  *    missed entity (transfer), since the container's page cache would
-  *    otherwise hide the device entirely (see DESIGN.md §3).
+  *  - a simulated device latency charged per miss batch (seek,
+  *    `SeekMicros`) and per missed entity (transfer, `PerEntityMicros`),
+  *    since the page cache would otherwise hide the device (DESIGN.md §3).
   *
   * `prefetch` batches a leaf's misses into one seek, mirroring the
   * sequential block reads the paper relies on.
@@ -31,8 +31,8 @@ final class CachedTraceStore(
     path: String,
     index: Map[Long, (Long, Int)], // entity -> (offset, byte length)
     val capacity: Int,
-    seekMicros: Long = 1000,
-    perEntityMicros: Long = 50,
+    seekMicros: Long = CachedTraceStore.SeekMicros,
+    perEntityMicros: Long = CachedTraceStore.PerEntityMicros,
 ) extends TraceSource {
 
   /** Cache misses (each missed entity = one record read) and hits so far. */
@@ -85,6 +85,9 @@ final class CachedTraceStore(
 
 object CachedTraceStore {
 
+  val SeekMicros = 1000L
+  val PerEntityMicros = 50L
+
   private[storage] def decode(buf: Array[Byte], m: Int): Array[Array[Long]] = {
     val in = new java.io.DataInputStream(new java.io.ByteArrayInputStream(buf))
     Array.fill(m) {
@@ -102,8 +105,8 @@ object CachedTraceStore {
       sp: SpIndex,
       path: String,
       capacity: Int,
-      seekMicros: Long = 1000,
-      perEntityMicros: Long = 50,
+      seekMicros: Long = SeekMicros,
+      perEntityMicros: Long = PerEntityMicros,
   ): CachedTraceStore = {
     val mem = TraceStore.fromCells(spark, cells, sp)
     java.nio.file.Files.createDirectories(java.nio.file.Paths.get(path).getParent)

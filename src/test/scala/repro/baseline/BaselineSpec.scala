@@ -127,6 +127,14 @@ class BaselineSpec extends SparkSpec {
       "locality clustering must ignore time for unmined cells")
   }
 
+  test("brute force rejects k < 1 and an absent query") {
+    val (_, store, _, d) = setup(20, 511)
+    intercept[IllegalArgumentException](BruteForce.topK(store, d, 0L, 0))
+    val absent = intercept[IllegalArgumentException](BruteForce.topK(store, d, 9999L, 1))
+    assert(absent.getMessage.contains("query entity 9999 has no trace"))
+    intercept[IllegalArgumentException](BruteForce.rankAll(store, d, 9999L))
+  }
+
   test("rankAll is a total ranking sorted by degree desc") {
     val (_, store, _, d) = setup(30, 508)
     val ranked = BruteForce.rankAll(store, d, 0L)

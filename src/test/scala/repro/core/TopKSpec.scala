@@ -178,6 +178,38 @@ class TopKSpec extends SparkSpec {
     }
   }
 
+  test("best-first hands leaves to the leaf step in non-increasing bound order") {
+    for ((store, searcher, d) <- theoremSetups(317); q <- store.entities.toSeq.sorted.take(4)) {
+      val ctx = QueryContext(store, searcher.hasher, d, q)
+      // Every node's queue bound, recomputed by a walk from the root.
+      val bound = scala.collection.mutable.HashMap.empty[SigNode, Double]
+      def walk(n: SigNode, mask: Array[Long], ub: Double): Unit = {
+        bound(n) = ub
+        n.children.valuesIterator.foreach { c =>
+          val m2 = ctx.pruneMasks(mask, c)
+          walk(c, m2, math.min(ub, ctx.upperBound(m2)))
+        }
+      }
+      walk(searcher.tree.root, ctx.freshMasks(), 1.0)
+      for (k <- Seq(1, 5, 20)) {
+        val taken = scala.collection.mutable.ArrayBuffer.empty[SigNode]
+        val step = new LeafStep {
+          def take(leaf: SigNode, emit: (Long, Double) => Unit): Unit = {
+            taken += leaf
+            leaf.entities.foreach(e => if (e != q) emit(e, store.degree(d, e, q)))
+          }
+        }
+        val r = BestFirst.search(searcher.tree, ctx, k, step)
+        ExactTopK.check(r.hits, store, d, q, k)
+        val bounds = taken.map(bound)
+        assert(bounds.nonEmpty, s"q=$q k=$k: no leaf taken")
+        bounds.zip(bounds.tail).zipWithIndex.foreach { case ((a, b), i) =>
+          assert(b <= a, s"q=$q k=$k: leaf ${i + 1} has bound $b after $a")
+        }
+      }
+    }
+  }
+
   /** The per-cell pruning rule, applied cell by cell: level-`l` cell `c`
     * survives a node iff it survived the parent and, when `l ≥ node.level`,
     * no top coordinate `(u, V)` of the node has `h_u^l(c) < V`.

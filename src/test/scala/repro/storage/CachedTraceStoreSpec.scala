@@ -13,7 +13,11 @@ import repro.spindex.SpIndex
   */
 class CachedTraceStoreSpec extends SparkSpec {
 
-  private def setup(capacity: Int, seekMicros: Long = 1000, perEntityMicros: Long = 50) = {
+  private def setup(
+      capacity: Int,
+      seekMicros: Long = CachedTraceStore.SeekMicros,
+      perEntityMicros: Long = CachedTraceStore.PerEntityMicros,
+  ) = {
     val sp = SpIndex.build(16, 3, 2.0, 1.0)
     val cells = TraceGen.syn(spark, 16, 40, repro.mobility.ImParams(horizon = 30), 701)
     val mem = TraceStore.fromCells(spark, cells, sp)
