@@ -6,7 +6,7 @@ import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import repro.core.{Cells, Measure, TopKResult, TraceSource}
+import repro.core.{Cells, Measure, TopKCollector, TopKResult, TraceSource}
 import repro.spindex.SpIndex
 
 /** The locality/bitmap baseline of §6.2.
@@ -162,7 +162,10 @@ object ClusterBitmap {
     new ClusterBitmapIndex(sp, nClusters, clusterMap, grouped)
   }
 
-  /** Top-k search over the bitmap index (UB-ordered group scan). */
+  /** Top-k search over the bitmap index: groups are scanned in descending
+    * upper-bound order and scored into a `TopKCollector`, the answer rule
+    * and early termination of Algorithm 2 (§6.2).
+    */
   def search(
       idx: ClusterBitmapIndex,
       store: TraceSource,
@@ -170,7 +173,7 @@ object ClusterBitmap {
       q: Long,
       k: Int,
   ): TopKResult = {
-    require(k >= 1)
+    val out = new TopKCollector(k)
     require(store.contains(q), s"query entity $q has no trace")
     val sp = idx.sp
     val qLevel = Array.tabulate(sp.m)(li => store.levelCells(q, li + 1))
@@ -179,16 +182,7 @@ object ClusterBitmap {
     val qBit = Array.tabulate(sp.m)(li => qLevel(li).map(c => idx.bitOf(li + 1, idx.clusterOf(li + 1, c))))
 
     def upperBound(words: Array[Long]): Double = {
-      val ov = new Array[Int](sp.m)
-      var li = 0
-      while (li < sp.m) {
-        var c = 0
-        while (c < qBit(li).length) {
-          if (idx.bitSet(words, qBit(li)(c))) ov(li) += 1
-          c += 1
-        }
-        li += 1
-      }
+      val ov = qBit.map(_.count(idx.bitSet(words, _)))
       measure.degree(ov, ov, qSizes)
     }
 
@@ -197,23 +191,12 @@ object ClusterBitmap {
     val ordered = idx.groups
       .map { case (w, es) => (upperBound(w), es) }
       .sortBy { case (ub, es) => (-ub, es.head) }
-    val best = mutable.ArrayBuffer.empty[(Long, Double)]
-    def kth: Double = if (best.size < k) -1.0 else best(k - 1)._2
-    var checked = 0
     var i = 0
-    while (i < ordered.size && !(best.size >= k && kth >= ordered(i)._1)) {
+    while (i < ordered.size && !out.canStop(ordered(i)._1)) {
       store.prefetch(ordered(i)._2.filter(_ != q))
-      ordered(i)._2.foreach { e =>
-        if (e != q) {
-          checked += 1
-          best += ((e, store.degree(measure, e, q)))
-        }
-      }
-      val sorted = best.sortBy { case (e, d) => (-d, e) }
-      best.clear()
-      best ++= sorted.take(k)
+      ordered(i)._2.foreach(e => if (e != q) out.offer(e, store.degree(measure, e, q)))
       i += 1
     }
-    TopKResult(best.toSeq, checked, i)
+    out.result(i)
   }
 }

@@ -65,25 +65,7 @@ final class AdditiveHasher(sp: SpIndex, val nh: Int, seed: Long) extends CellHas
   val range: Int = 2 * partRange - 1
 
   // sigma(l-1)(unit)(u): rolled-up per-unit location hash minima.
-  private val sigma: Array[Array[Array[Int]]] = {
-    val s = Array.tabulate(sp.m)(li => Array.fill(sp.widths(li), nh)(Int.MaxValue))
-    var loc = 0
-    while (loc < sp.nBase) {
-      var u = 0
-      while (u < nh) {
-        val v = AdditiveHasher.mixInt(seed ^ 0x51ed270b, u, loc, partRange)
-        var l = 1
-        while (l <= sp.m) {
-          val unit = sp.ancestor(l, loc)
-          if (v < s(l - 1)(unit)(u)) s(l - 1)(unit)(u) = v
-          l += 1
-        }
-        u += 1
-      }
-      loc += 1
-    }
-    s
-  }
+  private val sigma = AdditiveHasher.buildSigma(sp, nh, seed ^ 0x51ed270b, partRange)
 
   // Memoized time-part rows: tRow(t)(u) = T_u(t). Signature computation
   // touches every (u, t) pair of a trace, so recomputing the mix per call
@@ -117,12 +99,31 @@ final class AdditiveHasher(sp: SpIndex, val nh: Int, seed: Long) extends CellHas
 
 object AdditiveHasher {
 
-  /** SplitMix-style stateless mix of (seed, a, b) onto [0, mod). */
-  private[core] def mixInt(seed: Long, a: Int, b: Int, mod: Int): Int = {
-    var z = seed ^ (a.toLong * 0x9e3779b97f4a7c15L) ^ (b.toLong * 0xc2b2ae3d27d4eb4fL)
-    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
-    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
-    z ^= z >>> 31
-    (((z % mod) + mod) % mod).toInt
+  /** [[repro.SplitMix.mix]] of (seed, a, b) onto [0, mod). */
+  private[core] def mixInt(seed: Long, a: Int, b: Int, mod: Int): Int =
+    Math.floorMod(repro.SplitMix.mix(seed, a, b), mod)
+
+  // A static loop over rows filled by `Arrays.fill`: the same loop in the
+  // class body, over `Array.fill(w, nh)` rows (boxed writes), took ~20× as long.
+  private def buildSigma(sp: SpIndex, nh: Int, seed: Long, partRange: Int): Array[Array[Array[Int]]] = {
+    val s = Array.tabulate(sp.m) { li =>
+      Array.fill(sp.widths(li)) { val row = new Array[Int](nh); java.util.Arrays.fill(row, Int.MaxValue); row }
+    }
+    var loc = 0
+    while (loc < sp.nBase) {
+      var u = 0
+      while (u < nh) {
+        val v = mixInt(seed, u, loc, partRange)
+        var l = 1
+        while (l <= sp.m) {
+          val row = s(l - 1)(sp.ancestor(l, loc))
+          if (v < row(u)) row(u) = v
+          l += 1
+        }
+        u += 1
+      }
+      loc += 1
+    }
+    s
   }
 }

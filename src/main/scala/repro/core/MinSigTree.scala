@@ -100,6 +100,8 @@ final class MinSigTree(val sp: SpIndex, val nh: Int) {
     */
   def insert(entity: Long, sig: Array[Int]): Unit = {
     require(!entityPath.contains(entity), s"entity $entity already indexed")
+    require(sig.length == sp.m * nh,
+      s"signature of entity $entity has ${sig.length} values, not m·n_h = ${sp.m * nh}")
     val ridx = Signatures.routing(sig, sp.m, nh)._1
     var node = root
     var l = 0

@@ -208,6 +208,34 @@ object QueryContext {
   }
 }
 
+/** The answer rule of Algorithm 2 (Lines 4–5), shared with the §6.2
+  * baseline: the k best entities by degree, ties to the lower id, and a stop
+  * once the k-th degree reaches the next upper bound.
+  */
+private[repro] final class TopKCollector(k: Int) {
+  require(k >= 1)
+  // The answer order; the heap keeps the weakest of the k best on top.
+  private val order = Ordering.by[(Long, Double), (Double, Long)] { case (e, d) => (-d, e) }
+  private val best = mutable.PriorityQueue.empty[(Long, Double)](order)
+  private var nChecked = 0
+
+  def checked: Int = nChecked
+  def full: Boolean = best.size == k
+  def kth: Double = if (full) best.head._2 else -1.0
+
+  def offer(e: Long, d: Double): Unit = {
+    nChecked += 1
+    if (!full) best.enqueue((e, d))
+    else if (order.lt((e, d), best.head)) { best.dequeue(); best.enqueue((e, d)) }
+  }
+
+  /** Nothing of bound `ub` or below can enter the answer. */
+  def canStop(ub: Double): Boolean = full && kth >= ub
+  def admits(ub: Double): Boolean = !full || ub > kth
+
+  def result(nodesVisited: Int): TopKResult = TopKResult(best.toSeq.sorted(order), nChecked, nodesVisited)
+}
+
 /** How the best-first search evaluates the leaves it pops. A step scores a
   * leaf's members (the query excluded) at once or holds them to score in a
   * batch; each exact `(entity, degree)` it scores goes to `emit`.
@@ -221,9 +249,9 @@ private[core] trait LeafStep {
 
 /** Best-first top-k search over the MinSigTree (Algorithm 2, §4.2), shared
   * by the driver and Spark paths: candidate queue, mask pruning, upper
-  * bounds, the k-best result and early termination. Only the leaf step
-  * differs between the paths. The candidate queue is the JDK's
-  * `PriorityQueue`, highest upper bound first by `java.lang.Double.compare`.
+  * bounds, and a `TopKCollector` for the answer. Only the leaf step differs
+  * between the paths. The candidate queue is the JDK's `PriorityQueue`,
+  * highest upper bound first by `java.lang.Double.compare`.
   */
 private[core] object BestFirst {
 
@@ -231,23 +259,8 @@ private[core] object BestFirst {
   private final class Cand(val node: SigNode, val mask: Array[Long], val ub: Double)
 
   def search(tree: MinSigTree, ctx: QueryContext, k: Int, step: LeafStep): TopKResult = {
-    require(k >= 1)
-
-    // Result: weakest of the current top-k on top, so eviction is O(log k);
-    // ties broken by entity id for determinism.
-    implicit val weakestFirst: Ordering[(Long, Double)] =
-      Ordering.by[(Long, Double), (Double, Long)] { case (e, d) => (-d, e) }
-    val result = mutable.PriorityQueue.empty[(Long, Double)]
-    def kthDegree: Double = if (result.size < k) -1.0 else result.head._2
-    var checked = 0
-    val emit = (e: Long, d: Double) => {
-      checked += 1
-      if (result.size < k) result.enqueue((e, d))
-      else if (d > kthDegree || (d == kthDegree && e < result.head._1)) {
-        result.dequeue(); result.enqueue((e, d))
-      }
-    }
-
+    val out = new TopKCollector(k)
+    val emit: (Long, Double) => Unit = out.offer
     val cands = new java.util.PriorityQueue[Cand]((a, b) => java.lang.Double.compare(b.ub, a.ub))
     cands.add(new Cand(tree.root, ctx.freshMasks(), 1.0))
     var visited = 0
@@ -258,19 +271,19 @@ private[core] object BestFirst {
       visited += 1
       // Early termination (Lines 4-5): the k-th best exact degree already
       // dominates every remaining upper bound.
-      if (result.size == k && kthDegree >= cand.ub) done = true
+      if (out.canStop(cand.ub)) done = true
       else if (cand.node.isLeaf) step.take(cand.node, emit)
       else {
         cand.node.children.valuesIterator.foreach { child =>
           val childMask = ctx.pruneMasks(cand.mask, child)
           val ub = math.min(cand.ub, ctx.upperBound(childMask))
-          if (result.size < k || ub > kthDegree) cands.add(new Cand(child, childMask, ub))
+          if (out.admits(ub)) cands.add(new Cand(child, childMask, ub))
         }
       }
     }
     // Held leaves only raise the k-th degree, so termination still holds.
     step.flush(emit)
-    TopKResult(result.toSeq.sortBy { case (e, d) => (-d, e) }, checked, visited)
+    out.result(visited)
   }
 }
 

@@ -64,18 +64,11 @@ object ImModel {
     n
   }
 
-  private def mix(seed: Long, entity: Long): Long = {
-    var z = seed ^ (entity * 0x9e3779b97f4a7c15L)
-    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
-    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
-    z ^ (z >>> 31)
-  }
-
   /** Simulate one entity's movement as a sequence of stays covering
     * `[0, horizon)` (the entity is always somewhere).
     */
   def simulateStays(entity: Long, side: Int, p: ImParams, seed: Long): Array[Stay] = {
-    val rng = new SplittableRandom(mix(seed, entity))
+    val rng = new SplittableRandom(repro.SplitMix.mix(seed, entity))
     val out = mutable.ArrayBuffer.empty[Stay]
     var x = rng.nextInt(side)
     var y = rng.nextInt(side)

@@ -6,6 +6,8 @@ import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
+import repro.SplitMix.mix
+
 /** Spark-side digital-trace generators.
   *
   * Both generators return a DataFrame of base ST-cells
@@ -30,13 +32,6 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   *    the "closely associated entities" the paper's queries look for.
   */
 object TraceGen {
-
-  private def mix(seed: Long, a: Long, b: Long = 0): Long = {
-    var z = seed ^ (a * 0x9e3779b97f4a7c15L) ^ (b * 0xc2b2ae3d27d4eb4fL)
-    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
-    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
-    z ^ (z >>> 31)
-  }
 
   private def unitDouble(z: Long): Double = (z >>> 11).toDouble / (1L << 53).toDouble
 
@@ -74,14 +69,11 @@ object TraceGen {
       val s = if (isEvent) eventStay(seed, side, horizon, b) else s0
       // An event keeps the original slot's span but relocates it (and, for
       // the event's own span, its time) — both contribute co-occurrence.
-      var j = 0
-      while (j < s0.dt && s0.t + j < horizon) {
-        tl(s0.t + j) = s.loc; ev(s0.t + j) = isEvent; j += 1
+      def cover(span: Stay): Unit = {
+        var j = 0
+        while (j < span.dt && span.t + j < horizon) { tl(span.t + j) = s.loc; ev(span.t + j) = isEvent; j += 1 }
       }
-      j = 0
-      while (j < s.dt && s.t + j < horizon) {
-        tl(s.t + j) = s.loc; ev(s.t + j) = isEvent; j += 1
-      }
+      cover(s0); cover(s)
     }
     (tl, ev)
   }

@@ -31,8 +31,8 @@ final class CachedTraceStore(
     path: String,
     index: Map[Long, (Long, Int)], // entity -> (offset, byte length)
     val capacity: Int,
-    seekMicros: Long = CachedTraceStore.SeekMicros,
-    perEntityMicros: Long = CachedTraceStore.PerEntityMicros,
+    seekMicros: Long,
+    perEntityMicros: Long,
 ) extends TraceSource {
 
   /** Cache misses (each missed entity = one record read) and hits so far. */

@@ -141,6 +141,15 @@ class MinSigTreeSpec extends SparkSpec {
     intercept[IllegalArgumentException](tree.insert(0L, sig))
   }
 
+  test("insert rejects a signature of the wrong length") {
+    val (sp, traces, h, tree) = buildRandom(10, 4, 28)
+    val sig = Signatures.computeLocal(traces(0L), sp, h)
+    val nodes = tree.nodeCount
+    intercept[IllegalArgumentException](tree.insert(100L, sig ++ sig.take(h.nh)))
+    intercept[IllegalArgumentException](tree.insert(101L, sig.dropRight(1)))
+    assert(tree.size == 10 && tree.nodeCount == nodes)
+  }
+
   test("fromCells (Spark) builds the same tree as the driver path") {
     import spark.implicits._
     val (sp, traces, h, driverTree) = buildRandom(40, 8, 29)

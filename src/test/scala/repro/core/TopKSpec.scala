@@ -123,6 +123,29 @@ class TopKSpec extends SparkSpec {
     assert(r.hits.map(_._2).sorted.reverse == r.hits.map(_._2))
   }
 
+  test("the answer collector keeps the k best by degree desc, then id asc, in any offer order") {
+    val offers = Seq(7L -> 0.5, 3L -> 0.25, 9L -> 0.5, 1L -> 0.0, 4L -> 0.5, 8L -> 0.25, 2L -> 0.0, 6L -> 0.75, 5L -> 0.25)
+    val rng = new scala.util.Random(41)
+    val orders = Seq(offers, offers.reverse, offers.sortBy(_._1)) ++ Seq.fill(5)(rng.shuffle(offers))
+    for (k <- Seq(1, 2, 3, 4, 6, 9, 12); order <- orders) {
+      val out = new TopKCollector(k)
+      assert(!out.canStop(0.0) && out.admits(0.0))
+      order.foreach { case (e, d) => out.offer(e, d) }
+      val expected = offers.sortBy { case (e, d) => (-d, e) }.take(k)
+      val r = out.result(nodesVisited = 3)
+      assert(r == TopKResult(expected, offers.size, 3), s"k=$k order=$order")
+      if (k <= offers.size) {
+        val kth = expected.last._2
+        assert(out.full && out.kth == kth)
+        assert(out.canStop(math.nextDown(kth)) && out.canStop(kth) && !out.canStop(math.nextUp(kth)))
+        assert(!out.admits(math.nextDown(kth)) && !out.admits(kth) && out.admits(math.nextUp(kth)))
+      } else {
+        assert(!out.full && out.kth == -1.0)
+        assert(!out.canStop(0.0) && out.admits(0.0))
+      }
+    }
+  }
+
   test("query entity is never part of its own answer") {
     val (store, searcher, _) = randomSetup(50, 8, 307, sp => AdmMeasure(sp.m, 1, 1))
     store.entities.toSeq.sorted.take(10).foreach { q =>
