@@ -79,15 +79,10 @@ object ClusterBitmap {
   ): ClusterBitmapIndex = {
     import spark.implicits._
     val bcSp = spark.sparkContext.broadcast(sp)
-    val base = cells.select("entity", "t", "loc").as[(Long, Int, Int)]
 
     // Per-entity per-level cell arrays, reused for mining and vectors.
-    val perEntity = base
-      .groupByKey(_._1)
-      .mapGroups { (e, rows) =>
-        val cs = rows.map { case (_, t, loc) => (t, loc) }.toArray
-        (e, Cells.rollup(cs, bcSp.value))
-      }
+    val perEntity = Cells.byEntity(spark, cells)
+      .map { case (e, base) => (e, Cells.rollup(base, bcSp.value)) }
       .persist()
 
     val clusterMap = Array.fill(sp.m)(new JHashMap[java.lang.Long, Integer])

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 
 import repro.spindex.SpIndex
 
@@ -20,33 +20,51 @@ object Cells {
   def timeOf(cell: Long): Int = (cell >>> UnitBits).toInt
   def unitOf(cell: Long): Int = (cell & UnitMask).toInt
 
-  /** Distributed ST-cell set sequence: explode base cells to every level.
-    *
-    * Output columns: `(entity: Long, level: Int, cell: Long)`, distinct —
-    * the row-relational form of `seq_e^l` for all entities and levels,
-    * suitable for join-based degree computation and the DuckDB oracle.
+  /** The one grouping of raw base cells `(entity, t, loc)` by entity, each
+    * entity's `(t, loc)` pairs in input order. The trace store, signatures,
+    * level cells and cluster baseline all start from it.
+    */
+  def byEntity(spark: SparkSession, cells: DataFrame): Dataset[(Long, Array[(Int, Int)])] = {
+    import spark.implicits._
+    cells
+      .select("entity", "t", "loc")
+      .as[(Long, Int, Int)]
+      .groupByKey(_._1)
+      .mapGroups { (e, rows) => (e, rows.map { case (_, t, loc) => (t, loc) }.toArray) }
+  }
+
+  /** Distributed ST-cell set sequence: each entity's [[rollup]] as rows
+    * `(entity: Long, level: Int, cell: Long)`, distinct — the row form of
+    * `seq_e^l` that the Spark leaf step and the Spark brute force read.
     */
   def levelCells(spark: SparkSession, cells: DataFrame, sp: SpIndex): DataFrame = {
     import spark.implicits._
     val bc = spark.sparkContext.broadcast(sp)
-    cells
-      .select("entity", "t", "loc")
-      .as[(Long, Int, Int)]
-      .flatMap { case (e, t, loc) =>
-        val s = bc.value
-        (1 to s.m).iterator.map(l => (e, l, encode(t, s.ancestor(l, loc))))
+    byEntity(spark, cells)
+      .flatMap { case (e, base) =>
+        val seq = rollup(base, bc.value)
+        for (li <- seq.indices.iterator; c <- seq(li).iterator) yield (e, li + 1, c)
       }
       .toDF("entity", "level", "cell")
-      .distinct()
   }
 
-  /** Roll one entity's base cells up to per-level sorted distinct arrays.
-    * `result(l-1)` = sorted distinct encoded level-`l` cells.
+  /** Roll one entity's base cells, in any order and with repeats, up to
+    * per-level sorted distinct arrays: `result(l-1)` holds the encoded
+    * level-`l` cells. Sort, then dedupe in place, over primitive arrays.
     */
   def rollup(base: Array[(Int, Int)], sp: SpIndex): Array[Array[Long]] =
     Array.tabulate(sp.m) { li =>
-      val l = li + 1
-      base.map { case (t, loc) => encode(t, sp.ancestor(l, loc)) }.distinct.sorted
+      val cs = new Array[Long](base.length)
+      var i = 0
+      while (i < cs.length) { cs(i) = encode(base(i)._1, sp.ancestor(li + 1, base(i)._2)); i += 1 }
+      java.util.Arrays.sort(cs)
+      var n = 0 // cs(0 until n) holds the distinct cells seen so far
+      i = 0
+      while (i < cs.length) {
+        if (n == 0 || cs(i) != cs(n - 1)) { cs(n) = cs(i); n += 1 }
+        i += 1
+      }
+      java.util.Arrays.copyOf(cs, n)
     }
 
   /** Intersection size of two sorted distinct Long arrays (two-pointer). */

@@ -17,27 +17,20 @@ final case class EntitySig(entity: Long, sig: Array[Int])
   */
 object Signatures {
 
-  /** Distributed path: one shuffle keyed by entity, then a streaming
-    * min-fold per entity. Entities with no cells produce no signature.
+  /** Distributed path: [[Cells.byEntity]], each entity folded by
+    * [[computeLocal]]. Entities with no cells produce no signature.
     */
   def compute(spark: SparkSession, cells: DataFrame, sp: SpIndex, hasher: CellHasher): Dataset[EntitySig] = {
     import spark.implicits._
     val bcH = spark.sparkContext.broadcast(hasher)
     val bcS = spark.sparkContext.broadcast(sp)
-    cells
-      .select("entity", "t", "loc")
-      .as[(Long, Int, Int)]
-      .groupByKey(_._1)
-      .mapGroups { (e, rows) =>
-        val h = bcH.value
-        val s = bcS.value
-        val mins = Array.fill(s.m * h.nh)(Int.MaxValue)
-        rows.foreach { case (_, t, loc) => h.updateMins(s, t, loc, mins) }
-        EntitySig(e, mins)
-      }
+    Cells.byEntity(spark, cells)
+      .map { case (e, base) => EntitySig(e, computeLocal(base, bcS.value, bcH.value)) }
   }
 
-  /** Driver path for unit tests and incremental updates. */
+  /** The signature fold of one entity's base cells; the distributed path,
+    * unit tests and incremental updates all use it.
+    */
   def computeLocal(base: Array[(Int, Int)], sp: SpIndex, hasher: CellHasher): Array[Int] = {
     val mins = Array.fill(sp.m * hasher.nh)(Int.MaxValue)
     base.foreach { case (t, loc) => hasher.updateMins(sp, t, loc, mins) }

@@ -2,6 +2,7 @@ package repro.core
 
 import scala.collection.mutable
 
+import repro.analysis.Metrics
 import repro.spindex.SpIndex
 
 /** Result of a top-k search.
@@ -12,11 +13,10 @@ import repro.spindex.SpIndex
   */
 final case class TopKResult(hits: Seq[(Long, Double)], checked: Int, nodesVisited: Int) {
 
-  /** Pruning effectiveness per Definition 5.1: (|E'|-k)/|E| — lower is
-    * better (fewer entities checked beyond the k answers).
+  /** Pruning effectiveness per Definition 5.1 ([[repro.analysis.Metrics.pe]])
+    * with k = the number of hits.
     */
-  def pe(nEntities: Int): Double =
-    math.max(0, checked - hits.size).toDouble / nEntities
+  def pe(nEntities: Int): Double = Metrics.pe(checked, hits.size, nEntities)
 }
 
 /** Per-query state of the best-first search: the query's per-level cells,

@@ -53,20 +53,13 @@ final class TraceStore(val sp: SpIndex, val data: Map[Long, Array[Array[Long]]])
 
 object TraceStore {
 
-  /** Build from a cells DataFrame `(entity, t, loc)`. Collects to the
-    * driver — reproduction scales keep this to a few hundred MB at most,
-    * mirroring the paper's single-node index server.
+  /** Build from a cells DataFrame `(entity, t, loc)`: [[Cells.byEntity]],
+    * collected, then [[fromLocal]]. Collects to the driver — reproduction
+    * scales keep this to a few hundred MB at most, mirroring the paper's
+    * single-node index server.
     */
-  def fromCells(spark: SparkSession, cells: DataFrame, sp: SpIndex): TraceStore = {
-    import spark.implicits._
-    val grouped = cells
-      .select("entity", "t", "loc")
-      .as[(Long, Int, Int)]
-      .groupByKey(_._1)
-      .mapGroups { (e, rows) => (e, rows.map { case (_, t, loc) => (t, loc) }.toArray) }
-      .collect()
-    fromLocal(grouped.toMap, sp)
-  }
+  def fromCells(spark: SparkSession, cells: DataFrame, sp: SpIndex): TraceStore =
+    fromLocal(Cells.byEntity(spark, cells).collect().toMap, sp)
 
   /** Build from driver-side base cells (unit tests, generators). */
   def fromLocal(base: Map[Long, Array[(Int, Int)]], sp: SpIndex): TraceStore =

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.mobility.{ImModel, ImParams}
+import repro.mobility.{ImModel, ImParams, TraceGen}
 import repro.spindex.SpIndex
 
 /** ST-cell encoding and level rollup (§3.1, Example 3.1). */
@@ -48,6 +48,21 @@ class CellsSpec extends SparkSpec {
     assert(seq.zip(seq.tail).forall { case (coarse, fine) => coarse.length <= fine.length })
   }
 
+  test("rollup of unsorted input with repeated base cells equals the sorted distinct reference") {
+    val sp = SpIndex.build(16, 3, 2.0, 1.0)
+    val rng = new java.util.SplittableRandom(3)
+    for (_ <- 0 until 20) {
+      val drawn = Array.fill(1 + rng.nextInt(40))((rng.nextInt(6), rng.nextInt(16)))
+      // The reversed copy repeats every pair away from its first copy.
+      val base = drawn ++ drawn.reverse
+      val seq = Cells.rollup(base, sp)
+      for (l <- 1 to sp.m) {
+        val ref = base.map { case (t, loc) => Cells.encode(t, sp.ancestor(l, loc)) }.distinct.sorted
+        assert(seq(l - 1).toSeq == ref.toSeq, s"level $l of ${base.toSeq}")
+      }
+    }
+  }
+
   test("intersectCount equals set intersection size") {
     val rng = new java.util.SplittableRandom(1)
     for (_ <- 0 until 20) {
@@ -74,5 +89,20 @@ class CellsSpec extends SparkSpec {
       for (l <- 1 to sp.m)
         assert(got((e, l)) == seq(l - 1).toSeq, s"entity $e level $l")
     }
+  }
+
+  test("TraceStore.fromCells holds the driver rollup of every entity") {
+    import spark.implicits._
+    val sp = SpIndex.build(16, 3, 2.0, 1.0)
+    val local = TraceGen.synLocal(16, 60, ImParams(horizon = 60), seed = 12).filter(_._2.nonEmpty)
+    val df = local.toSeq
+      .flatMap { case (e, cs) => cs.map { case (t, loc) => (e, t, loc) } }
+      .toDF("entity", "t", "loc")
+      .repartition(5)
+    val got = TraceStore.fromCells(spark, df, sp).data
+    val want = TraceStore.fromLocal(local, sp).data
+    assert(got.keySet == want.keySet)
+    for ((e, seq) <- want; l <- 1 to sp.m)
+      assert(got(e)(l - 1).toSeq == seq(l - 1).toSeq, s"entity $e level $l")
   }
 }
