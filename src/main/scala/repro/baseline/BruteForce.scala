@@ -1,6 +1,6 @@
 package repro.baseline
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 
 import repro.core.{DistributedTopK, Measure, TraceStore}
 
@@ -12,18 +12,19 @@ import repro.core.{DistributedTopK, Measure, TraceStore}
 object BruteForce {
 
   /** Distributed full scan: DataFrame (entity, degree) for every entity
-    * with a non-zero degree to the query. An absent query fails the
-    * `require` of [[DistributedTopK.queryCells]].
+    * with a non-zero degree to the query. An absent query, or level cells
+    * of another depth than `sp`, fail the `require`s of
+    * [[DistributedTopK.queryCells]].
     */
   def degreesDf(
       spark: SparkSession,
-      levelCells: DataFrame,
+      levelCells: Dataset[(Long, Array[Array[Long]])],
       qEntity: Long,
       measure: Measure,
       sp: repro.spindex.SpIndex,
   ): DataFrame = {
     import spark.implicits._
-    val qCells = DistributedTopK.queryCells(spark, levelCells, qEntity, sp.m)
+    val qCells = DistributedTopK.queryCells(levelCells, qEntity, sp.m)
     DistributedTopK.degrees(spark, levelCells, qEntity, qCells, measure, candidates = None)
       .filter($"degree" > 0.0)
   }

@@ -78,12 +78,9 @@ object ClusterBitmap {
       minSupport: Int = 3,
   ): ClusterBitmapIndex = {
     import spark.implicits._
-    val bcSp = spark.sparkContext.broadcast(sp)
 
     // Per-entity per-level cell arrays, reused for mining and vectors.
-    val perEntity = Cells.byEntity(spark, cells)
-      .map { case (e, base) => (e, Cells.rollup(base, bcSp.value)) }
-      .persist()
+    val perEntity = Cells.levelCells(spark, cells, sp).persist()
 
     val clusterMap = Array.fill(sp.m)(new JHashMap[java.lang.Long, Integer])
     for (level <- 1 to sp.m) {

@@ -33,19 +33,16 @@ object Cells {
       .mapGroups { (e, rows) => (e, rows.map { case (_, t, loc) => (t, loc) }.toArray) }
   }
 
-  /** Distributed ST-cell set sequence: each entity's [[rollup]] as rows
-    * `(entity: Long, level: Int, cell: Long)`, distinct — the row form of
-    * `seq_e^l` that the Spark leaf step and the Spark brute force read.
+  /** Distributed ST-cell set sequence: each entity's [[rollup]], the
+    * per-level sorted distinct arrays `seq_e^l` that the driver
+    * `TraceStore` holds, as one row `(entity, seq)` with `seq(l-1)` the
+    * level-`l` cells. The Spark leaf step, the Spark brute force and the
+    * cluster baseline read it.
     */
-  def levelCells(spark: SparkSession, cells: DataFrame, sp: SpIndex): DataFrame = {
+  def levelCells(spark: SparkSession, cells: DataFrame, sp: SpIndex): Dataset[(Long, Array[Array[Long]])] = {
     import spark.implicits._
     val bc = spark.sparkContext.broadcast(sp)
-    byEntity(spark, cells)
-      .flatMap { case (e, base) =>
-        val seq = rollup(base, bc.value)
-        for (li <- seq.indices.iterator; c <- seq(li).iterator) yield (e, li + 1, c)
-      }
-      .toDF("entity", "level", "cell")
+    byEntity(spark, cells).map { case (e, base) => (e, rollup(base, bc.value)) }
   }
 
   /** Roll one entity's base cells, in any order and with repeats, up to

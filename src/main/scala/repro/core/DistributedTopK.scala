@@ -2,79 +2,70 @@ package repro.core
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 
 /** Distributed top-k query processing: Algorithm 2 with Spark leaf
   * evaluation. The driver-resident MinSigTree is searched best-first as on
   * the driver; popped leaves are held until they reach a batch of entities,
-  * and each batch is scored exactly by one distributed pass over the
-  * level-cells DataFrame (the threshold algorithm of Fagin, Lotem and Naor:
+  * and each batch is scored exactly by one narrow pass (a filter plus a
+  * map, no shuffle) over the per-entity level cells of
+  * [[Cells.levelCells]] (the threshold algorithm of Fagin, Lotem and Naor:
   * sorted access plus a stopping bound).
   */
 object DistributedTopK {
 
-  /** Exact degrees of candidate entities against query cells.
+  /** Exact degrees of candidate entities against query cells: a filter to
+    * the candidates, then a map that intersects each row's level arrays
+    * with the broadcast query arrays (the driver's `TraceSource.degree`).
     *
-    * @param levelCells DataFrame (entity, level, cell) — see [[Cells.levelCells]]
+    * @param levelCells per-entity level cells `(entity, seq)` — see [[Cells.levelCells]]
     * @param qCells     query's per-level cell arrays (index = level-1)
     * @return DataFrame (entity, degree) for every candidate with a trace,
     *         degree 0 included
     */
   def degrees(
       spark: SparkSession,
-      levelCells: DataFrame,
+      levelCells: Dataset[(Long, Array[Array[Long]])],
       qEntity: Long,
       qCells: Array[Array[Long]],
       measure: Measure,
       candidates: Option[Set[Long]] = None,
   ): DataFrame = {
     import spark.implicits._
-    val m = qCells.length
     val qSizes = qCells.map(_.length)
-    val bcQ = spark.sparkContext.broadcast(qCells.map(_.toSet))
+    val bcQ = spark.sparkContext.broadcast(qCells)
     val bcCand = spark.sparkContext.broadcast(candidates)
     val bcM = spark.sparkContext.broadcast(measure)
     levelCells
-      .select("entity", "level", "cell")
-      .as[(Long, Int, Long)]
-      .filter { r =>
-        r._1 != qEntity && bcCand.value.forall(_.contains(r._1))
-      }
-      .groupByKey(_._1)
-      .mapGroups { (e, rows) =>
-        val ov = new Array[Int](m)
-        val sizes = new Array[Int](m)
-        rows.foreach { case (_, l, c) =>
-          sizes(l - 1) += 1
-          if (bcQ.value(l - 1).contains(c)) ov(l - 1) += 1
-        }
+      .filter { r => r._1 != qEntity && bcCand.value.forall(_.contains(r._1)) }
+      .map { case (e, seq) =>
+        val q = bcQ.value
+        val ov = Array.tabulate(q.length)(li => Cells.intersectCount(seq(li), q(li)))
         // Candidate first, query second, as in TraceSource.degree.
-        (e, bcM.value.degree(ov, sizes, qSizes))
+        (e, bcM.value.degree(ov, seq.map(_.length), qSizes))
       }
       .toDF("entity", "degree")
   }
 
-  /** Collect a query entity's per-level cells from the DataFrame. */
-  def queryCells(spark: SparkSession, levelCells: DataFrame, q: Long, m: Int): Array[Array[Long]] = {
-    import spark.implicits._
-    val rows = levelCells
-      .filter($"entity" === q)
-      .select("level", "cell")
-      .as[(Int, Long)]
-      .collect()
+  /** Collect a query entity's per-level cells; they must have the index's
+    * `m` levels.
+    */
+  def queryCells(levelCells: Dataset[(Long, Array[Array[Long]])], q: Long, m: Int): Array[Array[Long]] = {
+    val rows = levelCells.filter(_._1 == q).collect()
     require(rows.nonEmpty, s"query entity $q has no trace")
-    val byLevel = rows.groupBy(_._1)
-    Array.tabulate(m)(li => byLevel.getOrElse(li + 1, Array.empty).map(_._2).sorted)
+    val seq = rows.head._2
+    require(seq.length == m, s"level cells have ${seq.length} levels, the index has $m")
+    seq
   }
 
-  /** Full search; query cells are read from the DataFrame. Leaves are
+  /** Full search; query cells are read from `levelCells`. Leaves are
     * scored once they hold `batchEntities` entities, and when the search
     * ends.
     */
   def search(
       spark: SparkSession,
       tree: MinSigTree,
-      levelCells: DataFrame,
+      levelCells: Dataset[(Long, Array[Array[Long]])],
       hasher: CellHasher,
       measure: Measure,
       qEntity: Long,
@@ -82,7 +73,7 @@ object DistributedTopK {
       batchEntities: Int = 4096,
   ): TopKResult = {
     import spark.implicits._
-    val qCells = queryCells(spark, levelCells, qEntity, tree.sp.m)
+    val qCells = queryCells(levelCells, qEntity, tree.sp.m)
     val step = new LeafStep {
       private val held = mutable.HashSet.empty[Long]
 

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, Dataset}
+
 import repro.{Oracle, SparkSpec}
 import repro.baseline.BruteForce
 import repro.mobility.TraceGen
@@ -7,9 +9,18 @@ import repro.spindex.SpIndex
 
 /** DuckDB oracle checks: the Spark degree computation (the quantity every
   * search result is built from) must match an independent SQL
-  * implementation of the ADM (u=1, v=1) over the same exploded cells.
+  * implementation of the ADM (u=1, v=1) over the same level cells,
+  * exploded into rows.
   */
 class BruteForceOracleSpec extends SparkSpec {
+
+  /** The per-entity level cells as the SQL's (entity, level, cell) rows. */
+  private def cellRows(levelCells: Dataset[(Long, Array[Array[Long]])]): DataFrame = {
+    import spark.implicits._
+    levelCells
+      .flatMap { case (e, seq) => for (li <- seq.indices; c <- seq(li)) yield (e, li + 1, c) }
+      .toDF("entity", "level", "cell")
+  }
 
   /** ADM(u=1, v=1) in DuckDB SQL over the (entity, level, cell) table. */
   private def admSql(q: Long, m: Int): String = {
@@ -44,7 +55,7 @@ class BruteForceOracleSpec extends SparkSpec {
     val d = AdmMeasure(sp.m, 1, 1)
     queries.foreach { q =>
       val sparkDf = BruteForce.degreesDf(spark, levelCells, q, d, sp)
-      Oracle.assertEquivalent(sparkDf, admSql(q, sp.m), "cells" -> levelCells)
+      Oracle.assertEquivalent(sparkDf, admSql(q, sp.m), "cells" -> cellRows(levelCells))
     }
     levelCells.unpersist()
   }
@@ -64,7 +75,7 @@ class BruteForceOracleSpec extends SparkSpec {
     val d = AdmMeasure(sp.m, 1, 1)
     Seq(0L, 11L).foreach { q =>
       val sparkDf = BruteForce.degreesDf(spark, levelCells, q, d, sp)
-      Oracle.assertEquivalent(sparkDf, admSql(q, sp.m), "cells" -> levelCells)
+      Oracle.assertEquivalent(sparkDf, admSql(q, sp.m), "cells" -> cellRows(levelCells))
     }
     levelCells.unpersist()
   }
@@ -89,7 +100,7 @@ class BruteForceOracleSpec extends SparkSpec {
         val st = conn.createStatement
         st.execute("CREATE TABLE cells (entity VARCHAR, level VARCHAR, cell VARCHAR)")
         val ps = conn.prepareStatement("INSERT INTO cells VALUES (?,?,?)")
-        levelCells.as[(Long, Int, Long)].collect().foreach { case (e, l, c) =>
+        cellRows(levelCells).as[(Long, Int, Long)].collect().foreach { case (e, l, c) =>
           ps.setString(1, e.toString); ps.setString(2, l.toString); ps.setString(3, c.toString)
           ps.addBatch()
         }

@@ -79,15 +79,13 @@ class CellsSpec extends SparkSpec {
     val df = local.toSeq
       .flatMap { case (e, cs) => cs.map { case (t, loc) => (e, t, loc) } }
       .toDF("entity", "t", "loc")
-    val got = Cells.levelCells(spark, df, sp)
-      .as[(Long, Int, Long)]
-      .collect()
-      .groupBy(r => (r._1, r._2))
-      .view.mapValues(_.map(_._3).sorted.toSeq).toMap
+    val got = Cells.levelCells(spark, df, sp).collect().toMap
+    assert(got.keySet == local.keySet)
     local.foreach { case (e, cs) =>
       val seq = Cells.rollup(cs, sp)
+      assert(got(e).length == sp.m, s"entity $e")
       for (l <- 1 to sp.m)
-        assert(got((e, l)) == seq(l - 1).toSeq, s"entity $e level $l")
+        assert(got(e)(l - 1).toSeq == seq(l - 1).toSeq, s"entity $e level $l")
     }
   }
 

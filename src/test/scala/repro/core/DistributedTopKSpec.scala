@@ -1,5 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
+
 import repro.SparkSpec
 import repro.baseline.BruteForce
 import repro.mobility.TraceGen
@@ -36,7 +40,7 @@ class DistributedTopKSpec extends SparkSpec {
   }
 
   /** Runs both searches, checks each is an exact Top-k, and returns them. */
-  private def both(store: TraceStore, levelCells: org.apache.spark.sql.DataFrame, h: CellHasher,
+  private def both(store: TraceStore, levelCells: Dataset[(Long, Array[Array[Long]])], h: CellHasher,
       tree: MinSigTree, d: Measure, q: Long, k: Int, batchEntities: Int = 4096) = {
     val driver = new TopKSearcher(tree, store, h, d).search(q, k).hits
     val dist = DistributedTopK.search(spark, tree, levelCells, h, d, q, k, batchEntities).hits
@@ -91,7 +95,7 @@ class DistributedTopKSpec extends SparkSpec {
 
   test("queryCells extracts per-level sorted cells") {
     val (sp, store, levelCells, _, _, _) = setup(20, 405)
-    val qc = DistributedTopK.queryCells(spark, levelCells, 2L, sp.m)
+    val qc = DistributedTopK.queryCells(levelCells, 2L, sp.m)
     for (l <- 1 to sp.m)
       assert(qc(l - 1).toSeq == store.levelCells(2L, l).toSeq)
   }
@@ -99,12 +103,34 @@ class DistributedTopKSpec extends SparkSpec {
   test("queryCells for an absent entity throws") {
     val (sp, _, levelCells, _, _, _) = setup(10, 406)
     intercept[IllegalArgumentException](
-      DistributedTopK.queryCells(spark, levelCells, 888L, sp.m))
+      DistributedTopK.queryCells(levelCells, 888L, sp.m))
   }
 
   test("brute-force degreesDf for an absent entity throws") {
     val (sp, _, levelCells, _, _, d) = setup(10, 409)
     intercept[IllegalArgumentException](
       BruteForce.degreesDf(spark, levelCells, 888L, d, sp))
+  }
+
+  test("queryCells rejects level cells of another depth") {
+    val (sp, _, levelCells, _, _, _) = setup(20, 410)
+    assert(DistributedTopK.queryCells(levelCells, 2L, sp.m).length == sp.m)
+    intercept[IllegalArgumentException](
+      DistributedTopK.queryCells(levelCells, 2L, sp.m + 1))
+  }
+
+  test("a batch over cached level cells plans no shuffle") {
+    val (sp, store, levelCells, _, _, d) = setup(30, 411)
+    levelCells.count()
+    val q = 2L
+    val candidates = store.entities.filter(_ != q).take(10).toSet
+    val df = DistributedTopK.degrees(spark, levelCells, q,
+      DistributedTopK.queryCells(levelCells, q, sp.m), d, Some(candidates))
+    assert(df.collect().length == candidates.size)
+    // The helper's collect does not descend into the cached relation's plan.
+    val shuffles = new AdaptiveSparkPlanHelper {}.collect(df.queryExecution.executedPlan) {
+      case s: ShuffleExchangeLike => s
+    }
+    assert(shuffles.isEmpty)
   }
 }
