@@ -31,16 +31,16 @@ class Table2SimulationBench extends SparkSpec {
       ("Cosine", AdmMeasure(sp.m, 1, 1.0), CosineMeasure(sp.m)),
     )
 
-    // One full ranking per (query, measure), computed in parallel; top-k
+    // One Top-50 list per (query, measure), computed in parallel; top-k
     // prefixes for every k are sliced from it.
     import scala.concurrent.{Await, ExecutionContext, Future}
     import scala.concurrent.duration.Duration
     implicit val ec: ExecutionContext = ExecutionContext.global
     val allMeasures: Seq[(String, Measure)] =
       targets.flatMap { case (n, adm, other) => Seq(s"adm-$n" -> adm, n -> other) }.distinct
-    val ranked: Map[(Long, String), IndexedSeq[(Long, Double)]] = Await.result(
+    val ranked: Map[(Long, String), Seq[(Long, Double)]] = Await.result(
       Future.sequence(for (q <- queries; (mn, m) <- allMeasures) yield Future {
-        (q, mn) -> BruteForce.rankAll(store, m, q).take(50)
+        (q, mn) -> BruteForce.topK(store, m, q, 50)
       }),
       Duration.Inf,
     ).toMap

@@ -20,8 +20,13 @@ trait Measure extends Serializable {
   * `d = Σ_l l^u · (|P_ab^l| / (|P_a^l| + |P_b^l|))^v / max`,
   * `max = Σ_l l^u · (1/2)^v` (attained when the traces coincide).
   * At `u = v = 1` this is exactly level-weighted Dice with weights `l/Z`.
+  * `v` must be positive: for `v < 0` a level's term falls as its overlap
+  * grows, and for `v = 0` it ignores the overlap's size.
   */
 final case class AdmMeasure(m: Int, u: Double = 1.0, v: Double = 1.0) extends Measure {
+  require(v > 0, s"ADM needs v > 0 (Theorem 4.1), got v = $v: for v < 0 a level's term falls as " +
+    "its overlap grows, so the artificial-entity upper bound is unsound; v = 0 ignores the overlap")
+
   private val lw: Array[Double] = Array.tabulate(m)(l => math.pow(l + 1.0, u))
   private val max: Double = lw.map(_ * math.pow(0.5, v)).sum
 
@@ -29,7 +34,11 @@ final case class AdmMeasure(m: Int, u: Double = 1.0, v: Double = 1.0) extends Me
     var s = 0.0
     var l = 0
     while (l < m) {
-      if (ov(l) > 0) s += lw(l) * math.pow(ov(l).toDouble / (sa(l) + sb(l)), v)
+      if (ov(l) > 0) {
+        val r = ov(l).toDouble / (sa(l) + sb(l))
+        // math.pow(r, 1.0) is r by its contract, so v = 1 skips the call.
+        s += lw(l) * (if (v == 1.0) r else math.pow(r, v))
+      }
       l += 1
     }
     s / max

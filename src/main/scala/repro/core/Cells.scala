@@ -64,6 +64,26 @@ object Cells {
       java.util.Arrays.copyOf(cs, n)
     }
 
+  /** Exact association degree of candidate `a` to query `b`, given each
+    * entity's record: one sorted distinct cell array per level, as
+    * [[rollup]] returns. Fills the per-level overlaps and sizes in one
+    * primitive loop, then calls `measure.degree`. Every exact degree (the
+    * trace sources, brute force and the Spark map) is computed here.
+    */
+  def degree(measure: Measure, a: Array[Array[Long]], b: Array[Array[Long]]): Double = {
+    val ov = new Array[Int](a.length)
+    val sa = new Array[Int](a.length)
+    val sb = new Array[Int](a.length)
+    var li = 0
+    while (li < a.length) {
+      ov(li) = intersectCount(a(li), b(li))
+      sa(li) = a(li).length
+      sb(li) = b(li).length
+      li += 1
+    }
+    measure.degree(ov, sa, sb)
+  }
+
   /** Intersection size of two sorted distinct Long arrays (two-pointer). */
   def intersectCount(a: Array[Long], b: Array[Long]): Int = {
     var i = 0; var j = 0; var n = 0

@@ -15,8 +15,8 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 object DistributedTopK {
 
   /** Exact degrees of candidate entities against query cells: a filter to
-    * the candidates, then a map that intersects each row's level arrays
-    * with the broadcast query arrays (the driver's `TraceSource.degree`).
+    * the candidates, then a map that scores each row against the broadcast
+    * query arrays with [[Cells.degree]], as the driver does.
     *
     * @param levelCells per-entity level cells `(entity, seq)` — see [[Cells.levelCells]]
     * @param qCells     query's per-level cell arrays (index = level-1)
@@ -32,18 +32,13 @@ object DistributedTopK {
       candidates: Option[Set[Long]] = None,
   ): DataFrame = {
     import spark.implicits._
-    val qSizes = qCells.map(_.length)
     val bcQ = spark.sparkContext.broadcast(qCells)
     val bcCand = spark.sparkContext.broadcast(candidates)
     val bcM = spark.sparkContext.broadcast(measure)
     levelCells
       .filter { r => r._1 != qEntity && bcCand.value.forall(_.contains(r._1)) }
-      .map { case (e, seq) =>
-        val q = bcQ.value
-        val ov = Array.tabulate(q.length)(li => Cells.intersectCount(seq(li), q(li)))
-        // Candidate first, query second, as in TraceSource.degree.
-        (e, bcM.value.degree(ov, seq.map(_.length), qSizes))
-      }
+      // Candidate first, query second, as in TraceSource.degree.
+      .map { case (e, seq) => (e, Cells.degree(bcM.value, seq, bcQ.value)) }
       .toDF("entity", "degree")
   }
 

@@ -226,7 +226,8 @@ private[repro] final class TopKCollector(k: Int) {
   def offer(e: Long, d: Double): Unit = {
     nChecked += 1
     if (!full) best.enqueue((e, d))
-    else if (order.lt((e, d), best.head)) { best.dequeue(); best.enqueue((e, d)) }
+    // Below the k-th degree nothing enters: skip the tuple and the ordering.
+    else if (d >= best.head._2 && order.lt((e, d), best.head)) { best.dequeue(); best.enqueue((e, d)) }
   }
 
   /** Nothing of bound `ub` or below can enter the answer. */

@@ -33,9 +33,13 @@ trait TraceSource {
   def overlaps(a: Long, b: Long): Array[Int] =
     Array.tabulate(sp.m)(li => Cells.intersectCount(levelCells(a, li + 1), levelCells(b, li + 1)))
 
-  /** Exact association degree between two stored entities. */
-  def degree(measure: Measure, a: Long, b: Long): Double =
-    measure.degree(overlaps(a, b), sizes(a), sizes(b))
+  /** Exact association degree of candidate `a` to query `b`: each level
+    * array of both entities fetched once, then [[Cells.degree]].
+    */
+  def degree(measure: Measure, a: Long, b: Long): Double = {
+    def record(e: Long) = Array.tabulate(sp.m)(li => levelCells(e, li + 1))
+    Cells.degree(measure, record(a), record(b))
+  }
 }
 
 /** Fully in-memory trace source: `data(e)(l-1)` is the sorted distinct
@@ -49,6 +53,10 @@ final class TraceStore(val sp: SpIndex, val data: Map[Long, Array[Array[Long]]])
   def levelCells(e: Long, level: Int): Array[Long] = data(e)(level - 1)
 
   def contains(e: Long): Boolean = data.contains(e)
+
+  /** One `data` lookup per entity, then [[Cells.degree]]. */
+  override def degree(measure: Measure, a: Long, b: Long): Double =
+    Cells.degree(measure, data(a), data(b))
 }
 
 object TraceStore {

@@ -2,7 +2,7 @@ package repro.baseline
 
 import repro.SparkSpec
 import repro.core._
-import repro.mobility.TraceGen
+import repro.mobility.{ImParams, TraceGen}
 import repro.spindex.SpIndex
 
 /** The §6.2 cluster/bitmap baseline: exactness (it prunes, but must never
@@ -140,5 +140,44 @@ class BaselineSpec extends SparkSpec {
     val ranked = BruteForce.rankAll(store, d, 0L)
     assert(ranked.size == store.entities.size - 1)
     assert(ranked.map(_._2).sorted.reverse == ranked.map(_._2))
+  }
+
+  /** `topK` must be `rankAll`'s prefix exactly: ids, degrees and order. */
+  private def assertTopKIsPrefix(store: TraceStore, d: Measure, q: Long): Unit = {
+    val ranked = BruteForce.rankAll(store, d, q)
+    val n = store.entities.size
+    for (k <- Seq(1, 2, 10, n - 1, n, n + 5))
+      assert(BruteForce.topK(store, d, q, k) == ranked.take(k), s"q=$q k=$k")
+  }
+
+  test("brute-force topK is rankAll's prefix where many entities tie at degree 0") {
+    val sp = SpIndex.build(16, 3, 2.0, 1.0)
+    // Traces at times no other trace reaches score 0 against every query.
+    val apart = (0L until 30L).map(i => (1000 + i) -> Array((400 + i.toInt, 9))).toMap
+    val store = TraceStore.fromLocal(TraceGen.synLocal(16, 40, ImParams(horizon = 40), 512) ++ apart, sp)
+    val d = AdmMeasure(sp.m, 1, 1)
+    assert(BruteForce.rankAll(store, d, 0L).count(_._2 == 0.0) >= 30)
+    for (q <- Seq(0L, 7L, 1000L)) assertTopKIsPrefix(store, d, q)
+    assertTopKIsPrefix(store, JaccardMeasure(sp.m), 0L)
+  }
+
+  test("brute-force topK breaks ties above 0 at the cut by the lower id") {
+    val sp = SpIndex.build(16, 3, 2.0, 1.0)
+    val syn = TraceGen.synLocal(16, 40, ImParams(horizon = 40), 513)
+    // Six copies of entity 3's trace, and three of entity 4's.
+    val copies = (0L until 6L).map(i => (300 - i) -> syn(3L)) ++ (0L until 3L).map(i => (400 - i) -> syn(4L))
+    val store = TraceStore.fromLocal(syn ++ copies, sp)
+    val d = AdmMeasure(sp.m, 1, 1)
+    val ranked = BruteForce.rankAll(store, d, 3L)
+    assert(ranked.take(6).forall(_._2 == ranked.head._2) && ranked.head._2 > 0)
+    for (q <- Seq(3L, 4L, 5L)) assertTopKIsPrefix(store, d, q)
+  }
+
+  test("brute-force topK over a store holding only the query is empty") {
+    val sp = SpIndex.build(16, 3, 2.0, 1.0)
+    val store = TraceStore.fromLocal(Map(5L -> Array((1, 2), (2, 2))), sp)
+    val d = AdmMeasure(sp.m, 1, 1)
+    for (k <- Seq(1, 2, 10)) assert(BruteForce.topK(store, d, 5L, k).isEmpty)
+    assert(BruteForce.rankAll(store, d, 5L).isEmpty)
   }
 }

@@ -140,4 +140,24 @@ class AdmSpec extends AnyFunSuite {
       assert(math.abs(d.degree(ov, sa, sb) - d.degree(ov, sb, sa)) < 1e-12, name)
     }
   }
+
+  test("ADM at v = 1 equals the math.pow formula bit for bit") {
+    val rng = new SplittableRandom(8)
+    for (u <- Seq(0.5, 1.0, 2.0); _ <- 0 until cases) {
+      val (ov, sa, sb) = randomStats(rng)
+      val lw = Array.tabulate(m)(l => math.pow(l + 1.0, u))
+      val max = lw.map(_ * math.pow(0.5, 1.0)).sum
+      var s = 0.0
+      for (l <- 0 until m if ov(l) > 0) s += lw(l) * math.pow(ov(l).toDouble / (sa(l) + sb(l)), 1.0)
+      val got = AdmMeasure(m, u, 1).degree(ov, sa, sb)
+      assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(s / max))
+    }
+  }
+
+  test("ADM rejects v <= 0, where the Theorem 4.1 bound fails") {
+    for (v <- Seq(0.0, -1.0)) {
+      val e = intercept[IllegalArgumentException](AdmMeasure(m, 1, v))
+      assert(e.getMessage.contains("Theorem 4.1"))
+    }
+  }
 }

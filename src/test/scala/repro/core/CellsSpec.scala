@@ -103,4 +103,30 @@ class CellsSpec extends SparkSpec {
     for ((e, seq) <- want; l <- 1 to sp.m)
       assert(got(e)(l - 1).toSeq == seq(l - 1).toSeq, s"entity $e level $l")
   }
+
+  test("Cells.degree equals the measure over overlaps and sizes, bit for bit") {
+    val sp = SpIndex.build(16, 3, 2.0, 1.0)
+    val base = TraceGen.synLocal(16, 40, ImParams(horizon = 60), seed = 13) ++ Map(
+      100L -> Array((3, 5)),                 // a single base cell
+      101L -> Array((500, 7), (501, 7)),     // times no other trace reaches
+    )
+    val store = TraceStore.fromLocal(base, sp)
+    // The trait's default degree, which fetches one level array at a time.
+    val source = new TraceSource {
+      def sp: SpIndex = store.sp
+      def levelCells(e: Long, level: Int): Array[Long] = store.levelCells(e, level)
+      def contains(e: Long): Boolean = store.contains(e)
+    }
+    val es = store.entities.toSeq.sorted
+    assert(es.filter(_ != 101L).forall(e => store.overlaps(101L, e).forall(_ == 0)))
+    val measures = Seq(AdmMeasure(sp.m, 1, 1), AdmMeasure(sp.m, 2, 0.5), AdmMeasure(sp.m, 0.5, 2),
+      AdmMeasure(sp.m, 1, 1.5), DiceMeasure(sp.m), JaccardMeasure(sp.m), CosineMeasure(sp.m))
+    def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+    for (d <- measures; a <- es; b <- es) {
+      val want = bits(d.degree(store.overlaps(a, b), store.sizes(a), store.sizes(b)))
+      assert(bits(Cells.degree(d, store.data(a), store.data(b))) == want, s"$d a=$a b=$b")
+      assert(bits(store.degree(d, a, b)) == want, s"$d a=$a b=$b")
+      assert(bits(source.degree(d, a, b)) == want, s"$d a=$a b=$b")
+    }
+  }
 }
